@@ -7,13 +7,13 @@ module derives it from SHA-256 hashes of the solver source files instead, so
 editing a solver automatically invalidates exactly the cache entries that
 depend on it.
 
-Each experiment registered in
-:data:`~repro.analysis.experiments.TRIAL_REGISTRY` may declare the modules
-(or whole packages) its trial function depends on via
-``register_trial(name, modules=...)``; :func:`code_version_for` combines the
-per-file digests of those declarations into the experiment's version string.
-Experiments that declare nothing fall back to the conservative default of
-hashing *every* module in the ``repro`` package, which can only
+An experiment whose trial function carries a ``@register_trial(name)``
+decorator in the source tree hashes the trial's derived module closure
+(:func:`repro.lint.imports.trial_closures`): every module its body can reach
+through imports, function-local ones included, plus their ancestor package
+``__init__`` files.  Nothing is declared by hand, so no dependency can be
+forgotten.  Trials registered at runtime (no decorator in the tree) and
+``experiment=None`` hash *every* module of the package, which can only
 over-invalidate, never replay stale results.
 """
 
@@ -27,9 +27,6 @@ from pathlib import Path
 
 __all__ = [
     "DEFAULT_PACKAGE",
-    "MODULE_DEPENDENCIES",
-    "declare_modules",
-    "declared_modules",
     "module_files",
     "code_version_for",
     "git_describe",
@@ -62,41 +59,16 @@ def git_describe(start: Path | None = None) -> str | None:
     described = proc.stdout.strip()
     return described or None
 
-#: Package hashed when an experiment declares no module dependencies.
+
+#: The package whose source files code versions hash.
 DEFAULT_PACKAGE = "repro"
-
-#: Experiment name -> module/package names its trial function depends on.
-#: Populated by ``register_trial(name, modules=...)`` declarations.
-MODULE_DEPENDENCIES: dict[str, tuple[str, ...]] = {}
-
-
-def declare_modules(experiment: str, modules: tuple[str, ...] | None) -> None:
-    """Record the module dependencies of *experiment* (``None`` clears them)."""
-    if modules is None:
-        MODULE_DEPENDENCIES.pop(experiment, None)
-    else:
-        MODULE_DEPENDENCIES[experiment] = tuple(modules)
-
-
-def declared_modules() -> dict[str, tuple[str, ...]]:
-    """Every experiment's declared module dependencies, registrations loaded.
-
-    The runtime counterpart of the static extraction in
-    :func:`repro.lint.trial_declarations`: importing the trial modules runs
-    their ``register_trial(modules=...)`` declarations, so the returned map is
-    exactly what :func:`code_version_for` will hash.  ``kecss lint``'s tests
-    cross-check the two views against each other.
-    """
-    _ensure_declarations()
-    return dict(MODULE_DEPENDENCIES)
 
 
 def module_files(name: str) -> list[Path]:
     """The source files behind module or package *name*.
 
-    A package name expands to every ``*.py`` file under it (recursively), so
-    declarations can stay at package granularity (``"repro.core"``) and remain
-    correct when files are added or split.
+    A package name expands to every ``*.py`` file under it (recursively),
+    sorted, so files added or split later are covered too.
     """
     spec = importlib.util.find_spec(name)
     if spec is None:
@@ -122,32 +94,55 @@ def _file_digest(path: str, mtime_ns: int, size: int) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _ensure_declarations() -> None:
-    """Import the trial modules so their ``register_trial`` declarations ran."""
-    import repro.analysis.differential  # noqa: F401
-    import repro.analysis.experiments  # noqa: F401
+@lru_cache(maxsize=1)
+def _trial_files(
+    package_dir: Path, stamps: tuple[tuple[str, int, int], ...]
+) -> dict[str, frozenset[str]]:
+    """Trial name -> the source files of its derived module closure.
+
+    *stamps* holds ``(path, mtime_ns, size)`` for every file of the package,
+    so the closures are derived once per process and again only when a file
+    changes (as with :func:`_file_digest`).  The AST machinery is imported
+    here rather than at module level so ``import repro.cli`` never loads
+    :mod:`repro.lint`.
+    """
+    from repro.lint.imports import load_import_tables, trial_closures
+    from repro.lint.walker import module_name_for
+
+    closures = trial_closures(load_import_tables(package_dir, DEFAULT_PACKAGE))
+    paths = {
+        module_name_for(Path(path), package_dir, DEFAULT_PACKAGE): path
+        for path, _, _ in stamps
+    }
+    return {
+        trial: frozenset(paths[module] for module in closure)
+        for trial, closure in closures.items()
+    }
 
 
 def code_version_for(experiment: str | None = None) -> str:
     """Derive the content-addressed code version of *experiment*.
 
-    Combines the SHA-256 digest of every source file the experiment declared
-    (default: all of :data:`DEFAULT_PACKAGE`) into one stable hex tag.  The
-    tag changes whenever any of those files changes, so cache entries written
-    under an older tag are recognisably stale (see
+    Combines the SHA-256 digest of every source file in the experiment's
+    derived trial closure (default: all of :data:`DEFAULT_PACKAGE`) into one
+    stable hex tag.  The tag changes whenever any of those files changes, so
+    cache entries written under an older tag are recognisably stale (see
     :func:`repro.analysis.engine.cache_gc`).
     """
-    if experiment is None:
-        names: tuple[str, ...] = (DEFAULT_PACKAGE,)
-    else:
-        _ensure_declarations()
-        names = MODULE_DEPENDENCIES.get(experiment, (DEFAULT_PACKAGE,))
-    files: set[Path] = set()
-    for name in names:
-        files.update(module_files(name))
+    files = module_files(DEFAULT_PACKAGE)
+    stats = {path: path.stat() for path in files}
+    if experiment is not None:
+        spec = importlib.util.find_spec(DEFAULT_PACKAGE)
+        package_dir = Path(spec.submodule_search_locations[0])
+        stamps = tuple(
+            (str(path), stat.st_mtime_ns, stat.st_size) for path, stat in stats.items()
+        )
+        closure = _trial_files(package_dir, stamps).get(experiment)
+        if closure is not None:
+            files = [path for path in files if str(path) in closure]
     combined = hashlib.sha256()
-    for path in sorted(files):
-        stat = path.stat()
+    for path in files:
+        stat = stats[path]
         combined.update(path.name.encode())
         combined.update(_file_digest(str(path), stat.st_mtime_ns, stat.st_size).encode())
     return combined.hexdigest()[:16]

@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 #: Conservative all-modules code version (every ``repro`` source file hashed).
-#: Experiments that declare their module dependencies get a narrower tag via
-#: :func:`repro.analysis.code_version.code_version_for`.
+#: Registered trials get a narrower tag, hashed from their derived module
+#: closure, via :func:`repro.analysis.code_version.code_version_for`.
 CODE_VERSION = code_version_for(None)
 
 TrialFn = Callable[[Mapping[str, object], int], dict]
@@ -136,8 +136,8 @@ class TrialJob:
     def cache_key(self, code_version: str | None = None) -> str:
         """Stable hash of (experiment, config, seed, code-version tag).
 
-        ``None`` derives the tag from the experiment's declared solver
-        modules via :func:`~repro.analysis.code_version.code_version_for`.
+        ``None`` derives the tag from the experiment's trial closure via
+        :func:`~repro.analysis.code_version.code_version_for`.
         """
         if code_version is None:
             code_version = code_version_for(self.experiment)
@@ -286,7 +286,7 @@ class ExperimentEngine:
     ) -> str:
         """The code-version tag for *job*, memoised per experiment via *memo*.
 
-        Deriving a version walks and stats every declared solver file, so
+        Deriving a version walks and stats every package source file, so
         ``run_jobs`` shares one memo across its whole batch instead of paying
         that per job.
         """
@@ -542,7 +542,7 @@ def _entry_experiment(path: Path, payload: dict | None) -> str:
 
 
 def _entry_is_stale(
-    path: Path, payload: dict | None, versions: dict[str, str | None]
+    path: Path, payload: dict | None, versions: dict[str, str]
 ) -> bool:
     """An entry is stale when corrupt or written under an outdated code version.
 
@@ -557,13 +557,8 @@ def _entry_is_stale(
         return False
     experiment = _entry_experiment(path, payload)
     if experiment not in versions:
-        try:
-            versions[experiment] = code_version_for(experiment)
-        except ModuleNotFoundError:
-            # A dependency module vanished: entries can never be validated.
-            versions[experiment] = None
-    current = versions[experiment]
-    return current is None or payload.get("code_version") != current
+        versions[experiment] = code_version_for(experiment)
+    return payload.get("code_version") != versions[experiment]
 
 
 def cache_stats(cache_dir: str | Path) -> dict[str, dict[str, int]]:
@@ -576,7 +571,7 @@ def cache_stats(cache_dir: str | Path) -> dict[str, dict[str, int]]:
             experiment, {"entries": 0, "stale": 0, "tmp": 0, "bytes": 0}
         )
 
-    versions: dict[str, str | None] = {}
+    versions: dict[str, str] = {}
     for path, payload in iter_cache_entries(cache_dir):
         bucket = bucket_for(_entry_experiment(path, payload))
         bucket["entries"] += 1
@@ -608,7 +603,7 @@ def cache_gc(cache_dir: str | Path) -> list[Path]:
     active sweep on the same cache directory.  Returns the paths removed.
     """
     removed: list[Path] = []
-    versions: dict[str, str | None] = {}
+    versions: dict[str, str] = {}
     for path, payload in iter_cache_entries(cache_dir):
         if _entry_is_stale(path, payload, versions):
             _remove_entry(path)

@@ -25,8 +25,8 @@ Examples::
     kecss cache stats --cache-dir .repro-cache
     kecss cache gc --cache-dir .repro-cache
     kecss families
-    kecss lint                                       # determinism & cache-soundness checks
-    kecss lint --format json --select CACHE001
+    kecss lint                                       # determinism checks
+    kecss lint --format json --select DET001
     kecss lint --list-rules
 
 The ``experiment`` subcommand runs through the parallel cached
@@ -54,8 +54,8 @@ stored baseline.
 
 The ``cache`` subcommand manages that on-disk trial cache: ``stats`` prints
 per-experiment entry/stale/byte counts, ``gc`` evicts entries whose stored
-code version no longer matches the one derived from the solver-module
-content hashes (i.e. results computed by since-edited code), and ``clear``
+code version no longer matches the one hashed from the trial's derived
+module closure (i.e. results computed by since-edited code), and ``clear``
 removes every entry.
 
 The result-store verbs sit on :mod:`repro.store` (append-only columnar run
@@ -73,9 +73,7 @@ anything is found) and quarantines it under ``<store>/quarantine/``;
 ``docs/robustness.md`` for the fault model behind both.
 
 The ``lint`` subcommand runs the :mod:`repro.lint` static analyzer over the
-package sources: the DET00x determinism rules and the CACHE001
-cache-soundness rule (``register_trial(modules=...)`` declarations must
-cover the trial's transitive import closure).  Exit codes follow the
+package sources: the DET00x determinism rules.  Exit codes follow the
 ``regress`` convention: 0 clean, 1 new findings, 2 usage error.  See
 ``docs/lint.md``.
 
@@ -351,23 +349,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class CommandError(Exception):
+    """Bad input caught at the CLI boundary, reported by :func:`main` as one
+    ``kecss: error:`` line: exit 2 for usage errors, 1 for an infeasible
+    instance."""
+
+    def __init__(self, message: str, exit_code: int = 2) -> None:
+        super().__init__(message)
+        self.exit_code = exit_code
+
+
+def _instance(args: argparse.Namespace):
+    """The ``--family``/``--n``/``--seed`` instance, checked against ``--k``."""
+    if args.k < 1:
+        raise CommandError(f"--k must be >= 1, got {args.k}")
+    if args.n <= args.k:
+        raise CommandError(f"--n must exceed --k, got n={args.n}, k={args.k}")
+    try:
+        return make_family(args.family)(args.n, seed=args.seed)
+    except ValueError as exc:
+        raise CommandError(f"cannot build {args.family} with n={args.n}: {exc}") from None
+
+
 def _solve(args: argparse.Namespace) -> int:
-    family = make_family(args.family)
-    graph = family(args.n, seed=args.seed)
+    graph = _instance(args)
     algorithm = args.algorithm
     if algorithm == "auto":
         if args.k == 2:
             algorithm = "2ecss"
-        elif args.k == 3 and not family.weighted:
+        elif args.k == 3 and not make_family(args.family).weighted:
             algorithm = "3ecss"
         else:
             algorithm = "kecss"
-    if algorithm == "2ecss":
-        result = two_ecss(graph, seed=args.seed)
-    elif algorithm == "3ecss":
-        result = three_ecss(graph, seed=args.seed)
-    else:
-        result = k_ecss(graph, args.k, seed=args.seed)
+    try:
+        if algorithm == "2ecss":
+            result = two_ecss(graph, seed=args.seed)
+        elif algorithm == "3ecss":
+            result = three_ecss(graph, seed=args.seed)
+        else:
+            result = k_ecss(graph, args.k, seed=args.seed)
+    except ValueError as exc:  # the solvers reject instances they cannot cover
+        raise CommandError(str(exc), exit_code=1) from None
     ok, reason = result.verify()
     if args.json:
         print(json.dumps({
@@ -395,10 +417,14 @@ def _solve(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    family = make_family(args.family)
-    graph = family(args.n, seed=args.seed)
+    graph = _instance(args)
     raw = sys.stdin.read() if args.edges == "-" else args.edges
-    edges = [tuple(edge) for edge in json.loads(raw)]
+    try:
+        edges = [tuple(edge) for edge in json.loads(raw)]
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"edges must be a JSON list of [u, v] pairs: {exc}") from None
+    if any(len(edge) != 2 for edge in edges):
+        raise CommandError("edges must be a JSON list of [u, v] pairs")
     from repro.graphs.connectivity import verify_spanning_subgraph
 
     ok, reason = verify_spanning_subgraph(graph, edges, args.k)
@@ -993,7 +1019,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "lint": _lint,
         "trace": _trace,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CommandError as exc:
+        print(f"kecss: error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

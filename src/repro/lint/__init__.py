@@ -1,4 +1,4 @@
-"""repro.lint: determinism & cache-soundness static analysis (``kecss lint``).
+"""repro.lint: determinism static analysis (``kecss lint``) and trial closures.
 
 Every guarantee this reproduction makes -- bit-identical kernel/oracle
 parity, replay-safe caches keyed by content-hashed code versions, identical
@@ -10,9 +10,11 @@ imported):
 
 * a rule registry mirroring the solver/backend registries
   (:mod:`repro.lint.registry`), shipped with the DET00x determinism family
-  and the CACHE001 cache-soundness rule (:mod:`repro.lint.rules`);
-* an intra-package import graph and ``register_trial`` declaration
-  extractor (:mod:`repro.lint.imports`) powering CACHE001;
+  (:mod:`repro.lint.rules`);
+* an intra-package import graph and ``register_trial`` extractor
+  (:mod:`repro.lint.imports`) deriving each trial's module closure, which
+  :func:`repro.analysis.code_version.code_version_for` hashes into the
+  trial's cache code version;
 * inline ``# repro: disable=CODE`` suppressions and a committed baseline
   file for grandfathered findings (:mod:`repro.lint.report`).
 
@@ -24,8 +26,9 @@ from repro.lint.imports import (
     ImportGraph,
     TrialDeclaration,
     build_import_graph,
-    expand_declaration,
+    load_import_tables,
     trial_closure,
+    trial_closures,
     trial_declarations,
 )
 from repro.lint.registry import RULES, Rule, register_rule, select_rules
@@ -56,8 +59,9 @@ __all__ = [
     "ImportGraph",
     "TrialDeclaration",
     "build_import_graph",
-    "expand_declaration",
+    "load_import_tables",
     "trial_closure",
+    "trial_closures",
     "trial_declarations",
     "RULES",
     "Rule",

@@ -1,46 +1,39 @@
-"""The intra-package import graph and the ``register_trial`` declarations.
+"""Trial code closures: the modules each registered trial can reach.
 
-This is the substrate of the CACHE001 cache-soundness rule: the engine's
-replay cache keys trial results by a code version derived from the modules an
-experiment *declares* (``register_trial(name, modules=...)``, hashed by
-:mod:`repro.analysis.code_version`).  The declaration is a promise -- "my
-behaviour is a function of these files" -- and nothing at runtime checks it.
-This module rebuilds both sides of that promise statically:
+The engine's replay cache keys trial results by a code version hashed from
+the source files a trial's behaviour depends on
+(:func:`repro.analysis.code_version.code_version_for`).  This module derives
+that file set from the tree, so nothing has to be declared by hand:
 
 * :class:`ImportGraph` -- module -> imported project modules, from the parsed
-  import tables (``TYPE_CHECKING`` imports excluded: they never execute);
+  import tables (``TYPE_CHECKING`` imports excluded: they never execute;
+  function-local imports included: a lazy import still runs the module);
 * :func:`trial_declarations` -- every ``@register_trial(...)`` decorated
-  function in the tree, with its declared ``modules=`` tuple resolved
-  (including tuples bound to module-level constants such as
-  ``_TAP_MODULES``);
+  function in the tree;
 * :func:`trial_closure` -- the modules a trial can actually reach: the names
   referenced in its body (resolved through same-module helpers, so a trial
   calling a private ``_instance`` helper inherits that helper's imports),
-  expanded transitively through the import graph.
+  expanded transitively through the import graph, plus the ancestor package
+  ``__init__`` of every reached module (importing a submodule runs them);
+* :func:`trial_closures` -- every trial's closure at once, over a project
+  parsed whole or, keeping only import tables, by
+  :func:`load_import_tables`.
 
-Two classes of import deliberately contribute **no** graph edges, because
-either would make the closure -- and therefore the check -- vacuous:
-
-* the trial's own defining module's imports (experiment modules import every
-  solver at module level; the fine-grained name scan over the trial body
-  replaces those edges);
-* function-local (lazy) imports in *other* modules (the engine's
-  registry-resolution imports form a cycle through
-  ``repro.analysis.experiments``, which imports everything).  A lazy import
-  in the trial body itself still counts -- the name scan resolves through
-  every binding of the defining module, including function-local ones.
-
-Implicit ancestor-package ``__init__`` execution is likewise out of scope
-(see ``docs/lint.md`` for the full soundness boundary).
+Import edges *into* a trial-defining module are never followed: those
+modules import every solver, and the engine's lazy registry lookups would
+otherwise connect each trial to every other trial's code.  A trial's own
+module is scanned by name instead (see :func:`trial_closure`).  See
+``docs/lint.md`` for the full soundness boundary.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable
 
-from repro.lint.walker import ModuleContext, ProjectContext, dotted_name
+from repro.lint.walker import ModuleContext, ProjectContext, dotted_name, iter_modules
 
 __all__ = [
     "ImportGraph",
@@ -48,7 +41,8 @@ __all__ = [
     "build_import_graph",
     "trial_declarations",
     "trial_closure",
-    "expand_declaration",
+    "trial_closures",
+    "load_import_tables",
     "is_register_trial_decorator",
 ]
 
@@ -77,16 +71,21 @@ class ImportGraph:
         return reached
 
 
-def build_import_graph(project: ProjectContext) -> ImportGraph:
-    """Resolve every executable import to a project module and build the graph."""
+def build_import_graph(
+    project: ProjectContext, never_enter: frozenset[str] = frozenset()
+) -> ImportGraph:
+    """Resolve every executable import to a project module and build the graph.
+
+    Edges into *never_enter* modules are dropped.
+    """
     edges: dict[str, set[str]] = {}
     for name, ctx in project.modules.items():
         targets = edges.setdefault(name, set())
         for binding in ctx.imports:
-            if binding.type_checking or binding.function_local:
+            if binding.type_checking:
                 continue
             resolved = project.resolve_import(binding)
-            if resolved is not None and resolved != name:
+            if resolved is not None and resolved != name and resolved not in never_enter:
                 targets.add(resolved)
     return ImportGraph(edges)
 
@@ -106,71 +105,33 @@ class TrialDeclaration:
     trial: str
     function: str
     module: str
-    lineno: int
-    #: The declared ``modules=`` tuple; ``None`` means the experiment relies
-    #: on the conservative hash-everything default, which cannot go stale.
-    modules: tuple[str, ...] | None
 
 
-def _constant_str_tuple(node: ast.expr, ctx: ModuleContext) -> tuple[str, ...] | None:
-    """Evaluate *node* as a tuple of string constants, following one level of
-    module-level ``Name`` indirection (``modules=_TAP_MODULES``)."""
-    if isinstance(node, ast.Name):
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and target.id == node.id:
-                        return _constant_str_tuple(stmt.value, ctx)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                if isinstance(stmt.target, ast.Name) and stmt.target.id == node.id:
-                    return _constant_str_tuple(stmt.value, ctx)
-        return None
-    if isinstance(node, (ast.Tuple, ast.List)):
-        values: list[str] = []
-        for element in node.elts:
-            if not (isinstance(element, ast.Constant) and isinstance(element.value, str)):
-                return None
-            values.append(element.value)
-        return tuple(values)
-    return None
+def _module_trials(ctx: ModuleContext) -> list[TrialDeclaration]:
+    declarations: list[TrialDeclaration] = []
+    for stmt in ctx.tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in stmt.decorator_list:
+            if (
+                is_register_trial_decorator(decorator)
+                and decorator.args
+                and isinstance(decorator.args[0], ast.Constant)
+                and isinstance(decorator.args[0].value, str)
+            ):
+                declarations.append(
+                    TrialDeclaration(decorator.args[0].value, stmt.name, ctx.name)
+                )
+    return declarations
 
 
 def trial_declarations(project: ProjectContext) -> list[TrialDeclaration]:
     """Every ``@register_trial``-decorated function in the project."""
-    declarations: list[TrialDeclaration] = []
-    for name, ctx in sorted(project.modules.items()):
-        for stmt in ctx.tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for decorator in stmt.decorator_list:
-                if not is_register_trial_decorator(decorator):
-                    continue
-                call = decorator
-                if not (
-                    call.args
-                    and isinstance(call.args[0], ast.Constant)
-                    and isinstance(call.args[0].value, str)
-                ):
-                    continue
-                modules: tuple[str, ...] | None = None
-                for keyword in call.keywords:
-                    if keyword.arg == "modules":
-                        if isinstance(keyword.value, ast.Constant) and (
-                            keyword.value.value is None
-                        ):
-                            modules = None
-                        else:
-                            modules = _constant_str_tuple(keyword.value, ctx)
-                declarations.append(
-                    TrialDeclaration(
-                        trial=call.args[0].value,
-                        function=stmt.name,
-                        module=name,
-                        lineno=decorator.lineno,
-                        modules=modules,
-                    )
-                )
-    return declarations
+    return [
+        declaration
+        for _, ctx in sorted(project.modules.items())
+        for declaration in _module_trials(ctx)
+    ]
 
 
 def _module_level_definitions(ctx: ModuleContext) -> dict[str, ast.AST]:
@@ -211,9 +172,11 @@ def trial_closure(
 
     Seeds are the defining module plus every import binding the trial body
     references, chased recursively through same-module helper definitions;
-    the seeds are then expanded through the import graph.  Decorators are
-    excluded from the trial function's own scan (they run at registration
-    time, not per trial) but helper definitions are scanned whole.
+    the seeds are then expanded through the import graph, and every reached
+    module's ancestor packages are added (their ``__init__`` runs on import,
+    but their own imports are not followed).  Decorators are excluded from
+    the trial function's own scan (they run at registration time, not per
+    trial) but helper definitions are scanned whole.
     """
     ctx = project.modules[declaration.module]
     definitions = _module_level_definitions(ctx)
@@ -241,18 +204,42 @@ def trial_closure(
                     continue
                 seen_definitions.add(name)
                 pending.append((definitions[name], False))
-    return graph.closure(seeds, skip_edges_of=frozenset({declaration.module}))
+    reached = graph.closure(seeds, skip_edges_of=frozenset({declaration.module}))
+    ancestors = {
+        module.rsplit(".", depth)[0]
+        for module in reached
+        for depth in range(1, module.count(".") + 1)
+    }
+    return reached | (ancestors & project.modules.keys())
 
 
-def expand_declaration(entry: str, project: ProjectContext) -> set[str] | None:
-    """The project modules covered by one ``modules=`` entry.
+def trial_closures(project: ProjectContext) -> dict[str, set[str]]:
+    """Trial name -> :func:`trial_closure` for every trial in *project*.
 
-    Mirrors :func:`repro.analysis.code_version.module_files`: a package name
-    covers itself and every submodule, a module name covers that file only.
-    Returns ``None`` for names that resolve to nothing in the project (the
-    declaration would fail to hash at runtime).
+    Import edges into trial-defining modules are dropped, so no closure
+    enters another trial's module through a lazy registry lookup.
     """
-    covered = {name for name in project.modules if name.startswith(entry + ".")}
-    if entry in project.modules:
-        covered.add(entry)
-    return covered or None
+    declarations = trial_declarations(project)
+    graph = build_import_graph(
+        project, never_enter=frozenset(d.module for d in declarations)
+    )
+    return {d.trial: trial_closure(project, graph, d) for d in declarations}
+
+
+_EMPTY_MODULE = ast.Module(body=[], type_ignores=[])
+
+
+def load_import_tables(package_dir: Path, package: str = "repro") -> ProjectContext:
+    """:func:`~repro.lint.walker.load_project`, keeping only what
+    :func:`trial_closures` reads.
+
+    A module that defines no trial is reduced to its name and import table
+    as soon as it is parsed, so only the trial-defining modules' ASTs stay
+    alive instead of the whole tree's.
+    """
+    modules: dict[str, ModuleContext] = {}
+    for ctx in iter_modules(package_dir, package):
+        if not _module_trials(ctx):
+            ctx = replace(ctx, source="", tree=_EMPTY_MODULE, lines=[])
+        modules[ctx.name] = ctx
+    return ProjectContext(package=package, modules=modules)

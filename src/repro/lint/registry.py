@@ -11,8 +11,8 @@ Two scopes exist:
 * ``"module"`` -- the checker is called once per :class:`ModuleContext` and
   sees only that file (all DET rules);
 * ``"project"`` -- the checker is called once with the whole
-  :class:`ProjectContext` and may cross files (CACHE001 walks the import
-  graph).
+  :class:`ProjectContext` and may cross files (for rules that need the
+  import graph, :mod:`repro.lint.imports`).
 """
 
 from __future__ import annotations

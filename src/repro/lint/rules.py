@@ -1,4 +1,4 @@
-"""The shipped rule families: determinism (DET00x) and cache soundness (CACHE001).
+"""The shipped rule family: determinism (DET00x).
 
 Every guarantee the reproduction makes -- bit-identical kernel/oracle parity,
 replay-safe caches, identical aggregates across execution backends -- is a
@@ -13,11 +13,7 @@ regress``) only cover the seeds actually swept; these rules check the
 * DET003 -- wall-clock, ``uuid`` or OS-entropy calls inside registered trial
   functions;
 * DET004 -- float arithmetic in modules whose scoring paths are documented
-  exact (``Fraction``/int);
-* CACHE001 -- a trial's statically-reachable module closure escaping its
-  ``register_trial(modules=...)`` declaration, the hole that lets an edit to
-  an undeclared dependency replay stale cache entries under an unchanged
-  code version.
+  exact (``Fraction``/int).
 """
 
 from __future__ import annotations
@@ -25,21 +21,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.imports import (
-    build_import_graph,
-    expand_declaration,
-    is_register_trial_decorator,
-    trial_closure,
-    trial_declarations,
-)
+from repro.lint.imports import is_register_trial_decorator
 from repro.lint.registry import register_rule
 from repro.lint.report import Finding
-from repro.lint.walker import (
-    ModuleContext,
-    ProjectContext,
-    dotted_name,
-    walk_with_symbol,
-)
+from repro.lint.walker import ModuleContext, dotted_name, walk_with_symbol
 
 __all__ = ["EXACT_MODULES"]
 
@@ -289,44 +274,3 @@ def det004_float_in_exact_path(ctx: ModuleContext) -> Iterator[Finding]:
                     symbol,
                 )
 
-
-@register_rule("CACHE001", "trial import closure escapes modules= declaration",
-               scope="project")
-def cache001_undeclared_dependency(project: ProjectContext) -> Iterator[Finding]:
-    """The engine's replay cache keys results by a code version hashed from
-    the modules each experiment *declares* (``register_trial(name,
-    modules=...)``).  If the trial can reach a module the tuple omits, an
-    edit to that module changes behaviour without changing the code version
-    -- and the cache replays stale results that no longer match a fresh
-    run.  This rule rebuilds each declared trial's reachable-module closure
-    statically (names referenced in the trial body, chased through
-    same-module helpers, expanded through the intra-package import graph)
-    and fails when the closure escapes the declaration.  Trials that
-    declare nothing use the hash-everything default and cannot go stale."""
-    graph = build_import_graph(project)
-    for declaration in trial_declarations(project):
-        if declaration.modules is None:
-            continue
-        ctx = project.modules[declaration.module]
-        covered: set[str] = set()
-        for entry in declaration.modules:
-            expanded = expand_declaration(entry, project)
-            if expanded is None:
-                yield Finding(
-                    "CACHE001", ctx.relpath, declaration.lineno, 0,
-                    f"trial '{declaration.trial}' declares module "
-                    f"'{entry}' which does not exist in the project",
-                    declaration.function,
-                )
-            else:
-                covered |= expanded
-        closure = trial_closure(project, graph, declaration)
-        missing = sorted(closure - covered)
-        if missing:
-            yield Finding(
-                "CACHE001", ctx.relpath, declaration.lineno, 0,
-                f"trial '{declaration.trial}' reaches modules outside its "
-                f"modules= declaration: {', '.join(missing)} -- edits to "
-                f"them will not bump the cache code version (stale replays)",
-                declaration.function,
-            )

@@ -2,7 +2,7 @@
 
 ``repro.lint`` never imports the code it checks -- every rule works on the
 :mod:`ast` of the source files, so linting a broken or half-edited tree is
-safe and the CACHE001 mutation test can analyse a *copy* of the package
+safe and the code-version derivation can analyse a *copy* of the package
 without fighting ``sys.modules``.  This module owns the two context objects
 the rules consume:
 
@@ -11,8 +11,9 @@ the rules consume:
   (:class:`ImportBinding` records, with ``TYPE_CHECKING``-guarded imports
   marked so dependency analysis can skip them -- they never execute).
 * :class:`ProjectContext` -- the whole package tree keyed by dotted name,
-  built either from the filesystem (:func:`load_project`) or from in-memory
-  sources (:func:`project_from_sources`, used heavily by the test fixtures).
+  built either from the filesystem (:func:`load_project`, or one module at a
+  time with :func:`iter_modules`) or from in-memory sources
+  (:func:`project_from_sources`, used heavily by the test fixtures).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ __all__ = [
     "ImportBinding",
     "ModuleContext",
     "ProjectContext",
+    "iter_modules",
     "load_project",
+    "module_name_for",
     "project_from_sources",
     "dotted_name",
     "walk_with_symbol",
@@ -42,11 +45,6 @@ class ImportBinding:
     and ``attr='c'``.  ``type_checking`` marks bindings inside an
     ``if TYPE_CHECKING:`` block: they are visible to annotations only and
     never execute, so the import-graph builder ignores them.
-    ``function_local`` marks imports nested inside a function body: they are
-    lazy and call-site gated, so the import graph excludes them too (the
-    engine's registry-resolution imports would otherwise connect every
-    module to every other), but they still resolve names for the
-    fine-grained trial-body scan.
     """
 
     local: str
@@ -54,7 +52,6 @@ class ImportBinding:
     attr: str | None
     lineno: int
     type_checking: bool = False
-    function_local: bool = False
 
 
 @dataclass
@@ -128,51 +125,47 @@ def _collect_imports(
     package = module_name if is_package else module_name.rpartition(".")[0]
     bindings: list[ImportBinding] = []
 
-    def visit(node: ast.AST, type_checking: bool, function_local: bool) -> None:
-        for child in ast.iter_child_nodes(node):
+    def visit(nodes: list, type_checking: bool) -> None:
+        # Imports are statements, so only statement lists (bodies, handlers,
+        # match cases) are walked; expressions cannot contain one.
+        for child in nodes:
             if isinstance(child, ast.If) and _is_type_checking_test(child.test):
-                for sub in child.body:
-                    visit_stmt(sub, True, function_local)
-                for sub in child.orelse:
-                    visit_stmt(sub, type_checking, function_local)
+                visit(child.body, True)
+                visit(child.orelse, type_checking)
                 continue
-            visit_stmt(child, type_checking, function_local)
-
-    def visit_stmt(child: ast.AST, type_checking: bool, function_local: bool) -> None:
-        if isinstance(child, ast.Import):
-            for alias in child.names:
-                local = alias.asname or alias.name.partition(".")[0]
-                bindings.append(
-                    ImportBinding(
-                        local, alias.name, None, child.lineno,
-                        type_checking, function_local,
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    local = alias.asname or alias.name.partition(".")[0]
+                    bindings.append(
+                        ImportBinding(local, alias.name, None, child.lineno, type_checking)
                     )
-                )
-        elif isinstance(child, ast.ImportFrom):
-            base = child.module or ""
-            if child.level:
-                # Relative import: climb from the defining package.
-                anchor = package.split(".") if package else []
-                anchor = anchor[: len(anchor) - (child.level - 1)]
-                base = ".".join(anchor + ([child.module] if child.module else []))
-            for alias in child.names:
-                if alias.name == "*":
-                    continue
-                bindings.append(
-                    ImportBinding(
-                        alias.asname or alias.name,
-                        base,
-                        alias.name,
-                        child.lineno,
-                        type_checking,
-                        function_local,
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                if child.level:
+                    # Relative import: climb from the defining package.
+                    anchor = package.split(".") if package else []
+                    anchor = anchor[: len(anchor) - (child.level - 1)]
+                    base = ".".join(anchor + ([child.module] if child.module else []))
+                for alias in child.names:
+                    if alias.name == "*":
+                        continue
+                    bindings.append(
+                        ImportBinding(
+                            alias.asname or alias.name,
+                            base,
+                            alias.name,
+                            child.lineno,
+                            type_checking,
+                        )
                     )
-                )
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function_local = True
-        visit(child, type_checking, function_local)
+            for field in child._fields:
+                value = getattr(child, field, None)
+                if isinstance(value, list) and value and isinstance(
+                    value[0], (ast.stmt, ast.excepthandler, ast.match_case)
+                ):
+                    visit(value, type_checking)
 
-    visit(tree, False, False)
+    visit(tree.body, False)
     return bindings
 
 
@@ -230,7 +223,8 @@ class ProjectContext:
         return None
 
 
-def _module_name_for(path: Path, package_dir: Path, package: str) -> str:
+def module_name_for(path: Path, package_dir: Path, package: str) -> str:
+    """Dotted module name of the source file *path* inside *package_dir*."""
     relative = path.relative_to(package_dir)
     parts = list(relative.parts)
     if parts[-1] == "__init__.py":
@@ -240,18 +234,17 @@ def _module_name_for(path: Path, package_dir: Path, package: str) -> str:
     return ".".join([package, *parts])
 
 
-def load_project(package_dir: Path, package: str = "repro") -> ProjectContext:
-    """Parse every ``*.py`` under *package_dir* into a :class:`ProjectContext`.
+def iter_modules(package_dir: Path, package: str = "repro") -> Iterator[ModuleContext]:
+    """Parse every ``*.py`` under *package_dir*, one :class:`ModuleContext` at a time.
 
     *package_dir* is the directory of the package itself (``.../src/repro``);
     paths in findings are reported relative to its grandparent (the repo
-    root for the standard ``src`` layout) when possible.
+    root for the standard ``src`` layout) when possible.  Modules come in
+    sorted path order.
     """
     package_dir = Path(package_dir).resolve()
     report_base = package_dir.parent.parent
-    modules: dict[str, ModuleContext] = {}
     for path in sorted(package_dir.rglob("*.py")):
-        name = _module_name_for(path, package_dir, package)
         source = path.read_text()
         try:
             tree = ast.parse(source, filename=str(path))
@@ -261,14 +254,20 @@ def load_project(package_dir: Path, package: str = "repro") -> ProjectContext:
             relpath = path.relative_to(report_base).as_posix()
         except ValueError:  # pragma: no cover - package outside a src layout
             relpath = path.as_posix()
-        modules[name] = ModuleContext(
-            name=name,
+        yield ModuleContext(
+            name=module_name_for(path, package_dir, package),
             relpath=relpath,
             source=source,
             tree=tree,
             is_package=path.name == "__init__.py",
         )
-    return ProjectContext(package=package, modules=modules, root=report_base)
+
+
+def load_project(package_dir: Path, package: str = "repro") -> ProjectContext:
+    """Parse every ``*.py`` under *package_dir* into a :class:`ProjectContext`."""
+    modules = {ctx.name: ctx for ctx in iter_modules(package_dir, package)}
+    root = Path(package_dir).resolve().parent.parent
+    return ProjectContext(package=package, modules=modules, root=root)
 
 
 def project_from_sources(

@@ -6,13 +6,20 @@ lazy ``cluster`` autoload), the determinism guarantee (serial == threads ==
 processes == cluster on golden seeds, both for synthetic trials and for a
 real experiment table), the pooled-executor lifecycle (an entered backend
 reuses one pool across ``map`` calls; the engine enters/exits it), the
-solver-module derived code versions, and ``cache gc`` evicting exactly the
+code versions derived from each trial's module closure (sound, precise and
+identical across interpreters), and ``cache gc`` evicting exactly the
 stale-version entries.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +32,8 @@ from repro.analysis.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.analysis.code_version import (
-    MODULE_DEPENDENCIES,
-    code_version_for,
-    declare_modules,
-    module_files,
-)
+from repro.analysis import code_version
+from repro.analysis.code_version import code_version_for, module_files
 from repro.analysis.engine import (
     CODE_VERSION,
     ExperimentEngine,
@@ -232,6 +235,32 @@ class TestEngineBackendLifecycle:
         assert engine._backend_instance()._pool is None
 
 
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Prints every registered trial's code version (and the all-modules one
+#: under the key "*") as JSON.
+_PRINT_VERSIONS = (
+    "import json\n"
+    "import repro.analysis.differential\n"
+    "from repro.analysis.code_version import code_version_for\n"
+    "from repro.analysis.experiments import TRIAL_REGISTRY\n"
+    "versions = {name: code_version_for(name) for name in sorted(TRIAL_REGISTRY)}\n"
+    "versions['*'] = code_version_for(None)\n"
+    "print(json.dumps(versions))\n"
+)
+
+
+def versions_in_fresh_interpreter(src: Path, hashseed: str = "0") -> dict[str, str]:
+    """Every registered trial's code version, derived in a new interpreter
+    importing the package from *src*."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hashseed}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_VERSIONS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 class TestCodeVersion:
     def test_default_is_the_all_modules_hash(self):
         assert code_version_for(None) == CODE_VERSION
@@ -239,8 +268,8 @@ class TestCodeVersion:
         assert isinstance(CODE_VERSION, str) and CODE_VERSION
 
     def test_declared_experiments_get_a_narrower_version(self):
-        # e3/e6/e7 declare their solver modules; their tags differ from the
-        # all-modules default and from each other.
+        # e3/e6/e7 hash their derived trial closures; their tags differ from
+        # the all-modules default and from each other.
         versions = {code_version_for(name) for name in ("e3", "e6", "e7")}
         assert len(versions) == 3
         assert CODE_VERSION not in versions
@@ -259,22 +288,70 @@ class TestCodeVersion:
         with pytest.raises(ModuleNotFoundError):
             module_files("repro.no_such_module")
 
+    def test_edits_bump_exactly_the_trials_that_reach_them(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(PACKAGE_DIR, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = versions_in_fresh_interpreter(src)
+
+        # Sound: e5 reaches the CONGEST primitives only through a
+        # function-local import in three_ecss.  Precise: e3 never does.
+        with open(src / "repro" / "congest" / "primitives.py", "a") as handle:
+            handle.write("# edited\n")
+        edited = versions_in_fresh_interpreter(src)
+        assert edited["e5"] != before["e5"]
+        assert edited["e3"] == before["e3"]
+
+        # No trial reaches the CLI, but the all-modules version hashes it.
+        with open(src / "repro" / "cli.py", "a") as handle:
+            handle.write("# edited\n")
+        after_cli = versions_in_fresh_interpreter(src)
+        assert after_cli["*"] != edited["*"]
+        assert {k: v for k, v in after_cli.items() if k != "*"} == {
+            k: v for k, v in edited.items() if k != "*"
+        }
+
+    def test_versions_do_not_depend_on_the_hash_seed(self):
+        src = PACKAGE_DIR.parent
+        assert versions_in_fresh_interpreter(src, "0") == versions_in_fresh_interpreter(
+            src, "1"
+        )
+
 
 @pytest.fixture
 def fake_solver(tmp_path, monkeypatch):
-    """A temp solver module + a registered trial declaring it, cleaned up after."""
-    solver = tmp_path / "fake_solver_mod.py"
-    solver.write_text("VALUE = 1\n")
+    """A throwaway package whose decorated trials code versions are derived from.
+
+    ``fakepkg.trials`` registers ``fake-exp`` (reaching ``fakepkg.solver``)
+    and ``fake-other`` (reaching ``fakepkg.other``); while the fixture is
+    active, code versions hash ``fakepkg`` instead of ``repro``.  Yields the
+    solver file, for tests to edit.
+    """
+    package = tmp_path / "fakepkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "solver.py").write_text("VALUE = 1\n")
+    (package / "other.py").write_text("VALUE = 2\n")
+    (package / "trials.py").write_text(
+        "from repro.analysis.experiments import register_trial\n"
+        "from fakepkg import other, solver\n"
+        "\n"
+        "@register_trial('fake-exp')\n"
+        "def fake_trial(config, seed):\n"
+        "    return {'value': float(config['x'] + 0 * solver.VALUE)}\n"
+        "\n"
+        "@register_trial('fake-other')\n"
+        "def other_trial(config, seed):\n"
+        "    return {'value': float(config['x'] + 0 * other.VALUE)}\n"
+    )
     monkeypatch.syspath_prepend(str(tmp_path))
-
-    def fake_trial(config, seed):
-        return {"value": float(config["x"])}
-
-    TRIAL_REGISTRY["fake-exp"] = fake_trial
-    declare_modules("fake-exp", ("fake_solver_mod",))
-    yield solver
+    monkeypatch.setattr(code_version, "DEFAULT_PACKAGE", "fakepkg")
+    importlib.import_module("fakepkg.trials")
+    yield package / "solver.py"
     TRIAL_REGISTRY.pop("fake-exp", None)
-    MODULE_DEPENDENCIES.pop("fake-exp", None)
+    TRIAL_REGISTRY.pop("fake-other", None)
+    for name in ("fakepkg.trials", "fakepkg.solver", "fakepkg.other", "fakepkg"):
+        sys.modules.pop(name, None)
 
 
 class TestCacheLifecycle:
@@ -293,7 +370,7 @@ class TestCacheLifecycle:
         cache_dir = tmp_path / "cache"
         engine = ExperimentEngine(cache_dir=cache_dir)
         engine.run_jobs("fake-exp", _jobs("fake-exp", (1, 2), trials=1))
-        engine.run_jobs(_value_trial, _jobs("unit", (1, 2), trials=1))
+        engine.run_jobs("fake-other", _jobs("fake-other", (1, 2), trials=1))
         assert len(list(cache_dir.rglob("*.json"))) == 4
         # Nothing is stale yet, so gc is a no-op.
         assert cache_gc(cache_dir) == []
@@ -302,13 +379,13 @@ class TestCacheLifecycle:
         fake_solver.write_text("VALUE = 99\n")
         stats = cache_stats(cache_dir)
         assert stats["fake-exp"]["stale"] == 2
-        assert stats["unit"]["stale"] == 0
+        assert stats["fake-other"]["stale"] == 0
         removed = cache_gc(cache_dir)
         assert len(removed) == 2
         assert all(path.parent.name == "fake-exp" for path in removed)
         remaining = list(cache_dir.rglob("*.json"))
         assert len(remaining) == 2
-        assert all(path.parent.name == "unit" for path in remaining)
+        assert all(path.parent.name == "fake-other" for path in remaining)
 
     def test_stale_entries_miss_and_rerun_under_the_new_version(self, fake_solver, tmp_path):
         cache_dir = tmp_path / "cache"

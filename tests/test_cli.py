@@ -95,6 +95,24 @@ class TestVerifyCommand:
         assert "INVALID" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["solve", "--n", "2"], 2),
+        (["solve", "--k", "5"], 1),
+        (["solve", "--k", "3", "--algorithm", "3ecss", "--family", "weighted-sparse"], 1),
+        (["solve", "--k", "0"], 2),
+        (["verify", "not json"], 2),
+        (["verify", "[[0, 1, 2]]"], 2),
+    ],
+)
+def test_bad_input_is_one_error_line_not_a_traceback(argv, exit_code, capsys):
+    assert main(argv) == exit_code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("kecss: error: ") and err.count("\n") == 1
+
+
 class TestExperimentCommand:
     def test_single_experiment_runs(self, capsys):
         code = main(["experiment", "--id", "e7"])
@@ -200,7 +218,7 @@ class TestLintCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["new"] == 1
         assert payload["findings"][0]["code"] == "DET001"
-        assert "CACHE001" in payload["rules"]
+        assert "DET001" in payload["rules"]
 
     def test_bad_root_is_a_usage_error(self, tmp_path, capsys):
         assert main(["lint", "--root", str(tmp_path / "nope")]) == 2
@@ -235,5 +253,5 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         output = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "DET004", "CACHE001"):
+        for code in ("DET001", "DET002", "DET003", "DET004"):
             assert code in output

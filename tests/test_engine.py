@@ -91,7 +91,7 @@ class TestTrialJob:
         assert base.cache_key() != base.cache_key(code_version="other")
 
     def test_default_cache_key_uses_derived_code_version(self):
-        # e1 declares its solver modules, so the derived tag is narrower than
+        # e1 hashes its derived trial closure, so the tag is narrower than
         # the conservative all-modules CODE_VERSION.
         job = TrialJob.make("e1", {"n": 16}, 1)
         assert job.cache_key() == job.cache_key(code_version_for("e1"))

@@ -1,11 +1,10 @@
 """Tests for the :mod:`repro.lint` static analyzer.
 
-Rule behaviour is pinned with small inline source fixtures
-(:func:`repro.lint.project_from_sources` builds a project without touching
-the filesystem); the import graph is additionally exercised against a real
-on-disk package tree, and the CACHE001 mutation test lints a *copy* of the
-installed package with a declared module deleted -- proving the CI gate
-would catch exactly that regression.
+Rule behaviour and the trial-closure derivation are pinned with small
+inline source fixtures (:func:`repro.lint.project_from_sources` builds a
+project without touching the filesystem); the import graph is additionally
+exercised against a real on-disk package tree, and the streaming loader the
+code versions use is checked against a full parse of the real package.
 """
 
 from __future__ import annotations
@@ -16,20 +15,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.code_version import declared_modules
 from repro.lint import (
     Finding,
     apply_baseline,
     build_import_graph,
     lint_project,
     load_baseline,
+    load_import_tables,
     load_project,
     project_from_sources,
     run_lint,
     select_rules,
     suppressed_codes,
-    trial_closure,
-    trial_declarations,
+    trial_closures,
     write_baseline,
 )
 
@@ -209,13 +207,13 @@ class TestDet004FloatInExactPath:
         assert findings == []
 
 
-# ------------------------------------------------------------------- CACHE001
-def cache_sources(modules_tuple: str) -> dict[str, str]:
-    """A synthetic package with one declared trial and a helper chain."""
+# ------------------------------------------------------------ trial closures
+def closure_sources() -> dict[str, str]:
+    """A synthetic package with one decorated trial and a helper chain."""
     return {
         "repro": "",
         "repro.engine": (
-            "def register_trial(name, modules=None):\n"
+            "def register_trial(name):\n"
             "    def wrap(fn):\n"
             "        return fn\n"
             "    return wrap\n"
@@ -229,59 +227,41 @@ def cache_sources(modules_tuple: str) -> dict[str, str]:
         "repro.exp": (
             "from repro.engine import register_trial\n"
             "from repro.solver import solve\n"
-            f"@register_trial('t1', modules={modules_tuple})\n"
+            "@register_trial('t1')\n"
             "def t1_trial(config, seed):\n"
             "    return solve(seed)\n"
         ),
     }
 
 
-class TestCache001:
-    def test_flags_transitively_missing_module(self):
-        # The trial reaches repro.util through repro.solver's import.
-        findings = lint_sources(
-            cache_sources("('repro.exp', 'repro.solver')"), select=["CACHE001"]
-        )
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.util" in findings[0].message
-        assert findings[0].symbol == "t1_trial"
+def closure_of(sources: dict[str, str], trial: str = "t1") -> set[str]:
+    return trial_closures(project_from_sources(sources))[trial]
 
-    def test_complete_declaration_is_clean(self):
-        findings = lint_sources(
-            cache_sources("('repro.exp', 'repro.solver', 'repro.util')"),
-            select=["CACHE001"],
-        )
-        assert findings == []
 
-    def test_package_name_covers_all_submodules(self):
-        findings = lint_sources(cache_sources("('repro',)"), select=["CACHE001"])
-        assert findings == []
+class TestTrialClosure:
+    def test_closure_follows_imports_transitively(self):
+        # The trial reaches repro.util through repro.solver's import; the
+        # decorator's module is not a dependency of the trial body.
+        assert closure_of(closure_sources()) == {
+            "repro", "repro.exp", "repro.solver", "repro.util",
+        }
 
-    def test_undeclared_trial_uses_conservative_default(self):
-        sources = cache_sources("('repro.exp',)")
+    def test_ancestor_packages_are_included(self):
+        sources = closure_sources()
+        sources["repro.core"] = "from repro.core.big import everything\n"
+        sources["repro.core.big"] = "everything = 1\n"
+        sources["repro.core.solver"] = "def solve(seed):\n    return seed\n"
         sources["repro.exp"] = sources["repro.exp"].replace(
-            ", modules=('repro.exp',)", ""
+            "from repro.solver", "from repro.core.solver"
         )
-        assert lint_sources(sources, select=["CACHE001"]) == []
-
-    def test_nonexistent_declared_module_is_flagged(self):
-        findings = lint_sources(
-            cache_sources("('repro.exp', 'repro.solver', 'repro.util', 'repro.gone')"),
-            select=["CACHE001"],
-        )
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.gone" in findings[0].message
-
-    def test_declaration_through_module_constant(self):
-        sources = cache_sources("_MODULES")
-        sources["repro.exp"] = (
-            "_MODULES = ('repro.exp', 'repro.solver', 'repro.util')\n"
-            + sources["repro.exp"]
-        )
-        assert lint_sources(sources, select=["CACHE001"]) == []
+        # repro.core's __init__ runs on import and is hashed, but its own
+        # imports are not followed.
+        assert closure_of(sources) == {
+            "repro", "repro.core", "repro.core.solver", "repro.exp",
+        }
 
     def test_type_checking_imports_do_not_extend_closure(self):
-        sources = cache_sources("('repro.exp', 'repro.solver', 'repro.util')")
+        sources = closure_sources()
         sources["repro.big"] = "def heavy():\n    return 1\n"
         sources["repro.util"] = (
             "from typing import TYPE_CHECKING\n"
@@ -290,50 +270,69 @@ class TestCache001:
             "def helper(seed):\n"
             "    return seed\n"
         )
-        assert lint_sources(sources, select=["CACHE001"]) == []
+        assert "repro.big" not in closure_of(sources)
 
-    def test_function_local_imports_elsewhere_do_not_extend_closure(self):
-        # The engine-style lazy import inside a helper of another module must
-        # not connect the closure to the lazily imported module.
-        sources = cache_sources("('repro.exp', 'repro.solver', 'repro.util')")
+    def test_function_local_imports_elsewhere_extend_closure(self):
+        # A lazy import inside a helper of another module still runs that
+        # module's code on the trial's path.
+        sources = closure_sources()
         sources["repro.lazy"] = "def lazy():\n    return 1\n"
         sources["repro.util"] = (
             "def helper(seed):\n"
             "    from repro.lazy import lazy\n"
             "    return lazy()\n"
         )
-        assert lint_sources(sources, select=["CACHE001"]) == []
+        assert "repro.lazy" in closure_of(sources)
+
+    def test_trial_defining_modules_are_never_entered(self):
+        # The engine-style lazy registry lookup must not pull in another
+        # trial's module, nor everything that module imports.
+        sources = closure_sources()
+        sources["repro.util"] = (
+            "def helper(seed):\n"
+            "    from repro.other_exp import REGISTRY\n"
+            "    return REGISTRY\n"
+        )
+        sources["repro.heavy"] = "x = 1\n"
+        sources["repro.other_exp"] = (
+            "from repro.engine import register_trial\n"
+            "from repro.heavy import x\n"
+            "REGISTRY = {}\n"
+            "@register_trial('t2')\n"
+            "def t2_trial(config, seed):\n"
+            "    return x\n"
+        )
+        closures = trial_closures(project_from_sources(sources))
+        assert "repro.other_exp" not in closures["t1"]
+        assert "repro.heavy" not in closures["t1"]
+        assert closures["t2"] == {"repro", "repro.other_exp", "repro.heavy"}
 
     def test_lazy_import_in_the_trial_body_counts(self):
-        sources = cache_sources("('repro.exp', 'repro.solver')")
+        sources = closure_sources()
         sources["repro.lazy"] = "def lazy():\n    return 1\n"
         sources["repro.exp"] = (
             "from repro.engine import register_trial\n"
-            "@register_trial('t1', modules=('repro.exp', 'repro.solver'))\n"
+            "@register_trial('t1')\n"
             "def t1_trial(config, seed):\n"
             "    from repro.lazy import lazy\n"
             "    return lazy()\n"
         )
-        findings = lint_sources(sources, select=["CACHE001"])
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.lazy" in findings[0].message
+        assert closure_of(sources) == {"repro", "repro.exp", "repro.lazy"}
 
     def test_helper_chain_pulls_in_helper_imports(self):
         # The trial only calls a same-module helper; the helper's imported
         # solver must still appear in the closure.
-        sources = cache_sources("('repro.exp',)")
+        sources = closure_sources()
         sources["repro.exp"] = (
             "from repro.engine import register_trial\n"
             "from repro.solver import solve\n"
             "def _instance(seed):\n"
             "    return solve(seed)\n"
-            "@register_trial('t1', modules=('repro.exp',))\n"
+            "@register_trial('t1')\n"
             "def t1_trial(config, seed):\n"
             "    return _instance(seed)\n"
         )
-        findings = lint_sources(sources, select=["CACHE001"])
-        assert codes(findings) == ["CACHE001"]
-        assert "repro.solver" in findings[0].message
+        assert "repro.solver" in closure_of(sources)
 
 
 # ------------------------------------------------------- import graph on disk
@@ -387,8 +386,8 @@ class TestImportGraphOnDisk:
 # -------------------------------------------------- suppressions and baseline
 class TestSuppressionsAndBaseline:
     def test_suppressed_codes_parsing(self):
-        line = "x = 1.0  # repro: disable=DET004, CACHE001 -- justified"
-        assert suppressed_codes(line) == frozenset({"DET004", "CACHE001"})
+        line = "x = 1.0  # repro: disable=DET004, DET001 -- justified"
+        assert suppressed_codes(line) == frozenset({"DET004", "DET001"})
         assert suppressed_codes("x = 1.0  # plain comment") == frozenset()
 
     def test_baseline_roundtrip(self, tmp_path: Path):
@@ -427,48 +426,25 @@ class TestRepoIsClean:
         )
         assert result.exit_code == 0
 
-    def test_static_declarations_match_runtime_registry(self):
-        """The AST view of ``register_trial(modules=...)`` agrees with what
-        the runtime registry (and therefore ``code_version_for``) hashes."""
-        project = load_project(PACKAGE_DIR)
-        static = {
-            d.trial: d.modules
-            for d in trial_declarations(project)
-            if d.modules is not None
-        }
-        runtime = declared_modules()
-        assert static == {
-            trial: modules for trial, modules in runtime.items()
-        }
-
     def test_every_trial_closure_is_computable(self):
         project = load_project(PACKAGE_DIR)
-        graph = build_import_graph(project)
-        declarations = trial_declarations(project)
-        assert declarations, "no register_trial declarations found"
-        for declaration in declarations:
-            closure = trial_closure(project, graph, declaration)
-            assert declaration.module in closure
+        closures = trial_closures(project)
+        assert closures, "no register_trial declarations found"
+        for trial, closure in closures.items():
+            assert "repro" in closure, trial
+        # The lazy import in three_ecss's setup reaches the CONGEST
+        # primitives; every 3-ECSS trial must hash them.
+        for trial in ("e5", "diff-3ecss", "diff-3ecss-kernel"):
+            assert "repro.congest.primitives" in closures[trial]
+
+    def test_streaming_loader_derives_the_same_closures(self):
+        assert trial_closures(load_import_tables(PACKAGE_DIR)) == trial_closures(
+            load_project(PACKAGE_DIR)
+        )
 
 
-# ------------------------------------------------------------- mutation test
-class TestCache001Mutation:
-    def test_deleting_a_declared_module_fails_lint(self, tmp_path: Path):
-        """Deleting a declared ``modules=`` entry from a copy of the real
-        package makes ``kecss lint`` exit non-zero: the CI gate catches the
-        exact stale-cache hole CACHE001 exists for."""
-        from repro.cli import main
-
-        root = tmp_path / "checkout"
-        shutil.copytree(PACKAGE_DIR, root / "src" / "repro")
-        experiments = root / "src" / "repro" / "analysis" / "experiments.py"
-        source = experiments.read_text()
-        needle = '        "repro.tap.fastcover",\n'
-        assert needle in source, "e4 no longer declares repro.tap.fastcover"
-        experiments.write_text(source.replace(needle, "", 1))
-
-        assert main(["lint", "--root", str(root), "--select", "CACHE001"]) == 1
-
+# ------------------------------------------------------------- copy of the tree
+class TestLintCopy:
     def test_unmutated_copy_is_clean(self, tmp_path: Path, capsys):
         from repro.cli import main
 
