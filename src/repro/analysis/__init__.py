@@ -1,4 +1,4 @@
-"""Experiment harness: engine, backends, runners, tables and the experiments.
+"""Experiment harness: engine, backends, tables and the experiments.
 
 The paper contains no empirical evaluation, so the experiments here measure
 the quantitative content of its theorems (see DESIGN.md §1 and §4) --
@@ -7,7 +7,7 @@ scaling against the claimed bounds, iteration counts, decomposition and
 cycle-space properties, and ablations of the design choices.
 
 Trials fan out over pluggable execution backends
-(:mod:`repro.analysis.backends`: serial, threads, processes, or registered
+(:mod:`repro.analysis.backends`: serial, processes, cluster, or registered
 third-party backends) and replay from an on-disk cache via
 :class:`~repro.analysis.engine.ExperimentEngine`.  Cache entries are keyed by
 code versions derived from solver-module content hashes
@@ -20,13 +20,12 @@ trials.
 """
 
 from repro.analysis.tables import Table
-from repro.analysis.runner import ExperimentRunner, TrialFailure, TrialResult
+from repro.analysis.runner import TrialFailure, TrialResult
 from repro.analysis.backends import (
     BACKENDS,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     register_backend,
     resolve_backend,
 )
@@ -44,7 +43,6 @@ from repro.analysis import experiments
 
 __all__ = [
     "Table",
-    "ExperimentRunner",
     "TrialResult",
     "TrialFailure",
     "ExperimentEngine",
@@ -58,7 +56,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "register_backend",
     "resolve_backend",

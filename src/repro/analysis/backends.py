@@ -12,9 +12,6 @@ by name without touching :class:`~repro.analysis.engine.ExperimentEngine`.
 Four backends ship by default:
 
 * ``"serial"`` -- in-process ``for`` loop; zero overhead, always available.
-* ``"threads"`` -- ``ThreadPoolExecutor``; cheap fan-out for trials that
-  release the GIL or block on I/O, and the cheapest way to exercise the
-  concurrent code paths in tests.
 * ``"processes"`` -- ``ProcessPoolExecutor``; true parallelism for
   CPU-bound solver trials (functions and items must pickle).
 * ``"cluster"`` -- the socket work queue of :mod:`repro.analysis.cluster`
@@ -41,14 +38,13 @@ from __future__ import annotations
 
 import importlib
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "available_backends",
@@ -125,15 +121,15 @@ def _map_chunksize(n_items: int, pool_size: int) -> int:
     ``ProcessPoolExecutor.map`` defaults to chunksize 1 -- one IPC round
     trip per item, which dominates the wall clock when trials run in
     microseconds.  A few chunks per worker amortises the pickling without
-    costing load balance on small batches.  (Thread pools ignore the
-    parameter's perf effect but accept it, so the call stays uniform.)
+    costing load balance on small batches.
     """
     return max(1, n_items // (max(1, pool_size) * 4))
 
 
+@register_backend("processes")
 @dataclass
-class _PoolBackend:
-    """Shared executor-pool plumbing for the thread and process backends.
+class ProcessBackend:
+    """``ProcessPoolExecutor`` fan-out; functions and items must pickle.
 
     Used as a context manager, one executor pool persists across ``map``
     calls (``ExperimentEngine`` enters its backend under ``with engine:``
@@ -142,13 +138,12 @@ class _PoolBackend:
     """
 
     workers: int = 2
-    name: str = "pool"
-    _executor_cls = None
+    name: str = "processes"
     _pool = None  # class attribute: set per instance while entered
 
     def __enter__(self):
         if self._pool is None:
-            self._pool = self._executor_cls(max_workers=max(1, self.workers))
+            self._pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -168,31 +163,13 @@ class _PoolBackend:
         if self.workers <= 1 or len(items) <= 1:
             return [function(item) for item in items]
         pool_size = min(self.workers, len(items))
-        with self._executor_cls(max_workers=pool_size) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             return list(
                 pool.map(
                     function, items,
                     chunksize=_map_chunksize(len(items), pool_size),
                 )
             )
-
-
-@register_backend("threads")
-@dataclass
-class ThreadBackend(_PoolBackend):
-    """``ThreadPoolExecutor`` fan-out (shared memory, subject to the GIL)."""
-
-    name: str = "threads"
-    _executor_cls = ThreadPoolExecutor
-
-
-@register_backend("processes")
-@dataclass
-class ProcessBackend(_PoolBackend):
-    """``ProcessPoolExecutor`` fan-out; functions and items must pickle."""
-
-    name: str = "processes"
-    _executor_cls = ProcessPoolExecutor
 
 
 def resolve_backend(

@@ -1,8 +1,8 @@
 """Machine-readable benchmark baselines (``kecss bench``).
 
-The ``benchmarks/`` pytest modules print experiment tables but never record
-them, so the repository has no perf trajectory: a PR claiming a speedup has
-nothing to diff against.  This module closes that loop.  ``kecss bench e2
+Printed experiment tables leave no perf trajectory: a PR claiming a speedup
+has nothing to diff against.  This module closes that loop (schema and
+workflow: ``docs/bench.md``).  ``kecss bench e2
 --out BENCH_e2.json`` runs the experiment's benchmark entrypoint through the
 ordinary :class:`~repro.analysis.engine.ExperimentEngine` (any backend /
 worker count / cache configuration) and persists a JSON baseline holding

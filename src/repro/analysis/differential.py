@@ -11,7 +11,7 @@ approximation factors (Theorems 1.1-1.3).
 This module packages those checks as trial functions registered in
 :data:`~repro.analysis.experiments.TRIAL_REGISTRY` (names ``"diff-2ecss"``,
 ``"diff-3ecss"``, ``"diff-kecss"``) so the suite fans out over the same
-execution backends as the experiments -- serial, threads, processes, or any
+execution backends as the experiments -- serial, processes, cluster, or any
 plugged-in backend -- and scales to thousands of instances.  A trial that
 detects a violation raises; the engine captures the traceback per-trial into
 ``TrialResult.error`` and the aggregation helpers surface it with the

@@ -6,7 +6,7 @@ picklable :class:`TrialJob` -- the experiment name, the configuration (as
 sorted key/value pairs) and the seed derived for that trial -- so the engine
 can fan trials out over any registered
 :class:`~repro.analysis.backends.ExecutionBackend` (``"serial"``,
-``"threads"``, ``"processes"``, or a plugged-in MPI/ray backend) and still
+``"processes"``, ``"cluster"``, or a plugged-in MPI/ray backend) and still
 reassemble results in deterministic job order.  Because seeds are derived up
 front (see :func:`repro.analysis.runner.derive_seed`), every backend produces
 bit-identical results; only the wall-clock differs.
@@ -196,7 +196,7 @@ class ExperimentEngine:
     Attributes:
         workers: Fan-out width handed to the backend (``1`` means serial).
         backend: Execution backend: a registry name (``"serial"``,
-            ``"threads"``, ``"processes"``), an
+            ``"processes"``, ``"cluster"``), an
             :class:`~repro.analysis.backends.ExecutionBackend` instance, or
             ``None`` for the historical default (serial for one worker,
             processes otherwise).
@@ -463,7 +463,8 @@ class ExperimentEngine:
         trials: int = 3,
         base_seed: int = 0,
     ) -> list[TrialResult]:
-        """Convenience sweep: derive seeds the classic runner way and execute."""
+        """Convenience sweep: one derived seed per (configuration, trial
+        index), executed over the backend."""
         jobs = [
             TrialJob.make(
                 name,

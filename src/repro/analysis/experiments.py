@@ -1,10 +1,11 @@
 """The experiments E1..E10 (see DESIGN.md §4 and EXPERIMENTS.md).
 
 Each experiment measures one quantitative claim of the paper and returns a
-:class:`~repro.analysis.tables.Table`.  The benchmark harness in
-``benchmarks/`` times the underlying solvers and prints these tables; the
-default sizes are deliberately small so the whole suite runs in minutes --
-pass larger ``sizes`` / ``trials`` for paper-scale sweeps.
+:class:`~repro.analysis.tables.Table`.  ``kecss bench`` records these tables
+as ``BENCH_*.json`` baselines (``docs/bench.md``) and
+``tests/test_analysis.py`` asserts their shape claims; the default sizes are
+deliberately small so the whole suite runs in minutes -- pass larger
+``sizes`` / ``trials`` for paper-scale sweeps.
 
 Structurally every experiment is split into three parts consumed by the
 :class:`~repro.analysis.engine.ExperimentEngine`:
@@ -20,7 +21,7 @@ Structurally every experiment is split into three parts consumed by the
 
 Every public function accepts an optional ``engine`` keyword; ``None`` means
 serial and uncached.  :data:`EXPERIMENTS` maps experiment ids (``"e1"`` ..
-``"e10"``) to the public functions for the CLI and benchmarks.
+``"e10"``) to the public functions for the CLI.
 """
 
 from __future__ import annotations
@@ -620,7 +621,7 @@ def experiment_e10_schedule_ablation(
 
 
 #: Experiment id -> public table-producing function (every one accepts
-#: ``engine=``).  The CLI ``experiment`` subcommand and the benchmarks consume
+#: ``engine=``).  The CLI ``experiment`` and ``bench`` subcommands consume
 #: this mapping.
 EXPERIMENTS: dict[str, Callable[..., Table]] = {
     "e1": experiment_e1_two_ecss_approximation,

@@ -8,7 +8,7 @@ Examples::
     kecss experiment e1 --backend cluster --trace trace.jsonl
     kecss trace trace.jsonl                          # timing/utilization report
     kecss trace trace.jsonl --format chrome --out trace.chrome.json
-    kecss experiment e1 --workers 4 --backend threads --cache-dir .repro-cache
+    kecss experiment e1 --workers 4 --cache-dir .repro-cache  # process pool
     kecss experiment e1 --workers 4 --backend cluster  # loopback work queue
     kecss worker --connect 10.0.0.5:7781             # serve a remote engine
     kecss bench e2 --out BENCH_e2.json
@@ -32,7 +32,7 @@ Examples::
 The ``experiment`` subcommand runs through the parallel cached
 :class:`~repro.analysis.engine.ExperimentEngine`: ``--workers N`` fans trials
 out over N workers on the execution backend picked with ``--backend``
-(``serial`` | ``threads`` | ``processes`` | ``cluster``; aggregates are
+(``serial`` | ``processes`` | ``cluster`` | ``failover``; aggregates are
 bit-identical on every backend), ``--cache-dir`` persists per-trial results
 so re-runs and partially failed sweeps resume from disk, and ``--no-cache``
 forces recomputation.  The ``cluster`` backend spawns loopback worker
@@ -59,7 +59,7 @@ module closure (i.e. results computed by since-edited code), and ``clear``
 removes every entry.
 
 The result-store verbs sit on :mod:`repro.store` (append-only columnar run
-segments; see ``benchmarks/README.md``): ``bench``/``experiment`` append
+segments; see ``docs/bench.md``): ``bench``/``experiment`` append
 their per-trial records to the store named by ``--store-dir`` (default:
 ``$REPRO_STORE_DIR``), ``store import`` migrates committed
 ``BENCH_*.json`` baselines, ``store ls`` lists stored runs, ``history``
@@ -488,6 +488,24 @@ def _apply_cluster_options(args: argparse.Namespace) -> None:
     os.environ[HEARTBEAT_ENV] = str(value)
 
 
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """The ``--workers``/``--backend``/``--cache-dir``/``--no-cache`` engine
+    configuration shared by ``experiment`` and ``bench``."""
+    if args.workers < 1:
+        raise CommandError(f"--workers must be >= 1, got {args.workers}")
+    if args.cache_dir is not None and not args.no_cache:
+        try:
+            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
+    return dict(
+        workers=args.workers,
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+    )
+
+
 def _experiment(args: argparse.Namespace) -> int:
     if (
         args.positional_id is not None
@@ -499,20 +517,10 @@ def _experiment(args: argparse.Namespace) -> int:
             f"vs --id {args.experiment_id!r}"
         )
     experiment_id = args.positional_id or args.experiment_id or "all"
+    engine_kwargs = _engine_kwargs(args)
     _apply_cluster_options(args)
     _apply_obs_options(args)
-    if args.cache_dir is not None and not args.no_cache:
-        try:
-            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
     store_dir = _store_dir_from(args)
-    engine_kwargs = dict(
-        workers=args.workers,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
     if store_dir is not None:
         # Record per-trial results and append one store run per experiment.
         from repro.analysis.bench import (
@@ -554,8 +562,6 @@ def _experiment(args: argparse.Namespace) -> int:
 def _bench(args: argparse.Namespace) -> int:
     from repro.analysis.bench import RecordingEngine
 
-    _apply_cluster_options(args)
-    _apply_obs_options(args)
     ids = sorted(_EXPERIMENTS) if args.experiment_id == "all" else [args.experiment_id]
     if args.out is not None and len(ids) != 1:
         raise SystemExit("--out requires a single experiment id (use --out-dir for 'all')")
@@ -566,17 +572,10 @@ def _bench(args: argparse.Namespace) -> int:
             "--against does not write baselines; drop --out (or record a new "
             "baseline first, then compare)"
         )
-    if args.cache_dir is not None and not args.no_cache:
-        try:
-            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
-    engine = RecordingEngine(
-        workers=args.workers,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
+    engine_kwargs = _engine_kwargs(args)
+    _apply_cluster_options(args)
+    _apply_obs_options(args)
+    engine = RecordingEngine(**engine_kwargs)
     store_dir = _store_dir_from(args)
     store = None
     if store_dir is not None and not args.dry_run:

@@ -2,8 +2,8 @@
 lifecycle.
 
 Covers the backend registry (lookup, errors, third-party registration, the
-lazy ``cluster`` autoload), the determinism guarantee (serial == threads ==
-processes == cluster on golden seeds, both for synthetic trials and for a
+lazy ``cluster`` autoload), the determinism guarantee (serial == processes
+== cluster on golden seeds, both for synthetic trials and for a
 real experiment table), the pooled-executor lifecycle (an entered backend
 reuses one pool across ``map`` calls; the engine enters/exits it), the
 code versions derived from each trial's module closure (sound, precise and
@@ -27,7 +27,6 @@ from repro.analysis.backends import (
     BACKENDS,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     register_backend,
     resolve_backend,
@@ -67,15 +66,13 @@ def _jobs(trial_name, xs, trials=2):
 
 class TestBackendRegistry:
     def test_builtin_backends_are_registered(self):
-        assert {"serial", "threads", "processes"} <= set(BACKENDS)
+        assert {"serial", "processes"} <= set(BACKENDS)
 
     def test_available_backends_lists_the_lazy_cluster_backend(self):
         # ``cluster`` is importable on demand, so it must be advertised (and
         # accepted by the CLI ``--backend`` choices) even before its module
         # has been loaded.
-        assert {"serial", "threads", "processes", "cluster"} <= set(
-            available_backends()
-        )
+        assert available_backends() == ["cluster", "failover", "processes", "serial"]
 
     def test_cluster_backend_autoloads_on_resolve(self):
         backend = resolve_backend("cluster", workers=2)
@@ -85,16 +82,15 @@ class TestBackendRegistry:
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        threads = resolve_backend("threads", workers=3)
-        assert isinstance(threads, ThreadBackend) and threads.workers == 3
-        assert isinstance(resolve_backend("processes", workers=2), ProcessBackend)
+        processes = resolve_backend("processes", workers=3)
+        assert isinstance(processes, ProcessBackend) and processes.workers == 3
 
     def test_resolve_none_matches_historical_default(self):
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
         assert isinstance(resolve_backend(None, workers=4), ProcessBackend)
 
     def test_resolve_passes_instances_through(self):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_raises_with_known_backends_listed(self):
@@ -146,7 +142,7 @@ class TestBackendRegistry:
 class TestBackendParity:
     """Bit-identical results on every backend, for synthetic and real trials."""
 
-    BACKEND_NAMES = ("serial", "threads", "processes", "cluster")
+    BACKEND_NAMES = ("serial", "processes", "cluster")
 
     def test_synthetic_trials_identical_across_backends(self):
         jobs = _jobs("unit", (1, 2, 3, 4), trials=3)
@@ -192,8 +188,8 @@ class TestPooledExecutorLifecycle:
         # Historical per-call behaviour: fresh processes each time.
         assert first.isdisjoint(second)
 
-    def test_entered_thread_backend_maps_correctly_across_calls(self):
-        backend = ThreadBackend(workers=4)
+    def test_entered_process_backend_maps_across_calls(self):
+        backend = ProcessBackend(workers=2)
         with backend:
             assert backend.map(str, range(10)) == [str(i) for i in range(10)]
             assert backend.map(abs, [-3, -1]) == [3, 1]
@@ -202,7 +198,7 @@ class TestPooledExecutorLifecycle:
 
     def test_chunked_map_preserves_item_order(self):
         # 64 items over a 2-worker pool -> chunksize > 1; order must hold.
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         items = list(range(64))
         with backend:
             assert backend.map(str, items) == [str(i) for i in items]
@@ -212,7 +208,7 @@ class TestEngineBackendLifecycle:
     """``with engine:`` enters the resolved backend once and exits it after."""
 
     def test_entered_engine_keeps_one_backend_and_one_pool(self):
-        engine = ExperimentEngine(workers=2, backend="threads")
+        engine = ExperimentEngine(workers=2, backend="processes")
         with engine:
             backend = engine._backend_instance()
             engine.run_jobs(_value_trial, _jobs("unit", (1,)))
@@ -229,7 +225,7 @@ class TestEngineBackendLifecycle:
         assert all(result.ok for result in results)
 
     def test_unentered_engine_matches_historical_behaviour(self):
-        engine = ExperimentEngine(workers=2, backend="threads")
+        engine = ExperimentEngine(workers=2, backend="processes")
         results = engine.run_jobs(_value_trial, _jobs("unit", (1, 2)))
         assert len(results) == 4
         assert engine._backend_instance()._pool is None

@@ -104,6 +104,8 @@ class TestVerifyCommand:
         (["solve", "--k", "0"], 2),
         (["verify", "not json"], 2),
         (["verify", "[[0, 1, 2]]"], 2),
+        (["experiment", "--id", "e3", "--workers", "-3", "--backend", "processes"], 2),
+        (["bench", "e3", "--workers", "-1", "--dry-run"], 2),
     ],
 )
 def test_bad_input_is_one_error_line_not_a_traceback(argv, exit_code, capsys):
@@ -125,17 +127,19 @@ class TestExperimentCommand:
         assert "|" in capsys.readouterr().out
 
     def test_backend_flag_runs_through_named_backend(self, capsys):
-        code = main(["experiment", "--id", "e7", "--backend", "threads",
+        code = main(["experiment", "--id", "e7", "--backend", "processes",
                      "--workers", "2"])
         assert code == 0
         captured = capsys.readouterr()
         assert "E7" in captured.out
-        assert "backend=threads" in captured.err
+        assert "backend=processes" in captured.err
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "--id", "e7",
-                                       "--backend", "mpi"])
+        for backend in ("mpi", "threads"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["experiment", "--id", "e7",
+                                           "--backend", backend])
+            assert excinfo.value.code == 2
 
     def test_no_cache_does_not_create_the_cache_dir(self, tmp_path, capsys):
         cache_dir = tmp_path / "never-created"

@@ -37,10 +37,9 @@ from repro.graphs.generators import FAMILIES
 N_GRAPHS = 50
 EXACT_GRAPHS = 15
 
-#: The full-size sweeps run once through the threads backend: it exercises
-#: the concurrent engine path on every default test run without paying
-#: process start-up for sub-millisecond trials.
-SWEEP_BACKEND = "threads"
+#: The full-size sweeps run once through the processes backend: it exercises
+#: the concurrent engine path on every default test run.
+SWEEP_BACKEND = "processes"
 SWEEP_WORKERS = 4
 
 
@@ -112,7 +111,7 @@ class TestBackendParityOnDifferentialTrials:
     def test_backends_agree_bit_for_bit(self, experiment, jobs):
         outcomes = {
             backend: _run(experiment, jobs, backend=backend, workers=4)
-            for backend in ("serial", "threads", "processes", "cluster")
+            for backend in ("serial", "processes", "cluster")
         }
         baseline = [
             (r.config, r.seed, r.metrics) for r in outcomes["serial"]

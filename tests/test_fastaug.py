@@ -55,7 +55,7 @@ from repro.mst.sequential import minimum_spanning_tree
 from repro.trees.lca import LCAIndex
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "threads"
+SWEEP_BACKEND = "processes"
 SWEEP_WORKERS = 4
 
 

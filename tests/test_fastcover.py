@@ -33,7 +33,7 @@ from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "threads"
+SWEEP_BACKEND = "processes"
 SWEEP_WORKERS = 4
 
 

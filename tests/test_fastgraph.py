@@ -25,7 +25,7 @@ from repro.graphs.fastgraph import ArrayUnionFind, FastGraph, hop_diameter
 from repro.graphs.generators import FAMILIES
 
 N_GRAPHS = 50
-SWEEP_BACKEND = "threads"
+SWEEP_BACKEND = "processes"
 SWEEP_WORKERS = 4
 
 

@@ -461,11 +461,11 @@ class TestFailoverBackend:
 
     def test_entered_failover_enters_only_the_active_stage(self):
         flaky = _FlakyBackend()
-        with FailoverBackend(chain=(flaky, "threads")) as backend:
+        with FailoverBackend(chain=(flaky, "serial")) as backend:
             items = list(range(5))
             assert backend.map(_square, items) == [x * x for x in items]
             assert backend.map(_square, items) == [x * x for x in items]
-        assert backend.degradations[0]["to"] == "threads"
+        assert backend.degradations[0]["to"] == "serial"
 
     def test_engine_provenance_records_degraded_from(self):
         flaky = _FlakyBackend()

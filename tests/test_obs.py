@@ -353,7 +353,7 @@ class TestTraceCli:
 class TestQueueSeconds:
     def test_engine_records_and_cache_replays_it(self, tmp_path):
         jobs = _jobs([1, 2])
-        engine = ExperimentEngine(workers=2, backend="threads",
+        engine = ExperimentEngine(workers=2, backend="processes",
                                   cache_dir=tmp_path)
         first = engine.run_jobs(_value_trial, jobs)
         assert all(result.queue_seconds >= 0.0 for result in first)

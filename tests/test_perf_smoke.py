@@ -7,7 +7,7 @@ Guards in the default test run:
   the engine plumbing shows up as a test failure rather than a slow CI run;
 * a warm-cache replay of E1 + E4 is at least 5x faster than the cold run
   (the acceptance bar for the on-disk trial cache), checked on the serial
-  backend **and** on the threads backend -- the cold sweep runs once and both
+  backend **and** on the processes backend -- the cold sweep runs once and both
   replays share its cache, so the extra backend costs only a replay;
 * the flat-array kernel's cold verification path (connectivity + bridges +
   cut pairs + diameter, the primitives under every E2/E6 trial) is at least
@@ -142,7 +142,7 @@ def cold_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "backend, workers", [("serial", 1), ("threads", 4)], ids=["serial", "threads"]
+    "backend, workers", [("serial", 1), ("processes", 2)], ids=["serial", "processes"]
 )
 def test_warm_cache_replay_is_at_least_5x_faster(cold_run, backend, workers):
     cache_dir, cold, cold_e1, cold_e4 = cold_run
