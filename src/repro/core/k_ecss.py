@@ -11,7 +11,14 @@ Each level ``i`` raises the connectivity of the running subgraph ``H`` from
    cost-effectiveness drops);
 4. an MST of ``G`` under weights (A: 0, active candidates: 1, rest: 2) filters
    the active candidates -- only those in the MST join ``A``, which keeps ``A``
-   acyclic (Claim 4.1) and therefore at most ``n - 1`` edges per level;
+   acyclic (Claim 4.1) and therefore at most ``n - 1`` edges per level.
+   Kruskal ranks edges by ``(weight, canonical edge)``: it takes all of the
+   acyclic ``A`` first, then keeps an active edge exactly when it joins two
+   components of ``A`` plus the active edges before it in canonical order,
+   and weight-2 edges come too late to decide anything.  So a union-find over
+   ``A`` that unions the active edges in sorted order gives the same edges,
+   and since every survivor joins ``A`` the union-find stays valid for the
+   whole level;
 5. the level ends when every cut of size ``i - 1`` is covered.
 
 Level 1 is solved by the MST itself (the MST is an optimal augmentation from
@@ -22,10 +29,12 @@ Two implementations share this structure.  :func:`augment_to_k` keeps the
 cut-coverage state in :class:`repro.core.fastaug.BitsetCoverKernel` -- packed
 integer bitmasks with incrementally maintained live-cover counters, so each
 iteration costs a flat counter scan instead of ``O(|E| * |cuts|)`` frozenset
-intersections.  :func:`augment_to_k_nx` (and :func:`k_ecss_nx` above it) is
-the historical frozenset implementation, retained as the differential oracle;
-the ``diff-kecss-kernel`` sweep asserts bit-identical added-edge sets,
-weights, iteration counts and histories.
+intersections, and rescores only in iterations after ``A`` grew.  Its MST
+filter is the union-find of step 4, O(|active|) per iteration.
+:func:`augment_to_k_nx` (and :func:`k_ecss_nx` above it) is the historical
+frozenset implementation with the full-Kruskal :func:`_mst_filter`, retained
+as the differential oracle; the ``diff-kecss-kernel`` sweep asserts
+bit-identical added-edge sets, weights, iteration counts and histories.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.cuts import Cut, enumerate_cuts_of_size
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter
 from repro.mst.sequential import minimum_spanning_tree
 
 Edge = tuple[Hashable, Hashable]
@@ -158,10 +167,15 @@ def augment_to_k(
     )
     index_of = {edge: j for j, edge in enumerate(candidates_pool)}
     cand_repr = kernel.cand_repr
+    node_index = {node: i for i, node in enumerate(graph.nodes())}
+    forest = ArrayUnionFind(n)
 
     added: set[Edge] = set()
     history: list[AugIterationStats] = []
     schedule = GuessingSchedule(m, max(1, schedule_constant * cost_model.log_n))
+    scores_dirty = True
+    candidate_ids: list[int] = []
+    maximum: object = None
 
     iteration = 0
     while not kernel.all_covered:
@@ -171,17 +185,19 @@ def augment_to_k(
                 f"Aug_{k} did not converge within {max_iterations} iterations"
             )
 
-        # Lines 1-2: one flat scan of the incrementally maintained counters.
-        cand_ids, exponents, maximum = kernel.score()
+        # Lines 1-2: scores depend only on A, so rescan the counters after A grew.
+        if scores_dirty:
+            cand_ids, exponents, maximum = kernel.score()
+            candidate_ids = sorted(
+                (j for j, exponent in zip(cand_ids, exponents) if exponent == maximum),
+                key=cand_repr.__getitem__,
+            )
+            scores_dirty = False
         if maximum is None:
             raise RuntimeError(
                 f"no edge of G covers the remaining cuts of size {k - 1}; "
                 f"the input graph is not {k}-edge-connected"
             )
-        candidate_ids = sorted(
-            (j for j, exponent in zip(cand_ids, exponents) if exponent == maximum),
-            key=cand_repr.__getitem__,
-        )
 
         probability = schedule.update(maximum)
 
@@ -192,20 +208,16 @@ def augment_to_k(
             active_ids = [j for j in candidate_ids if rng.random() < probability]
         active = [kernel.cand_edges[j] for j in active_ids]
 
-        # Line 4: MST filtering keeps A acyclic.
-        newly_added: list[Edge] = []
-        if active:
-            if use_mst_filter:
-                chosen = _mst_filter(graph, added, active)
-            else:
-                chosen = list(active)
-            for edge in chosen:
-                if edge not in added:
-                    added.add(edge)
-                    newly_added.append(edge)
-
+        # Line 4: MST filtering keeps A acyclic.  score() skips edges in A, so
+        # every kept edge is new.
+        if use_mst_filter:
+            newly_added = _forest_filter(forest, node_index, active)
+        else:
+            newly_added = active
         if newly_added:
+            added.update(newly_added)
             kernel.add_many(index_of[edge] for edge in newly_added)
+            scores_dirty = True
 
         ledger.add(
             "aug-iteration",
@@ -230,6 +242,22 @@ def augment_to_k(
         ledger=ledger,
         metadata={"cuts": len(cuts), "history": history, "k": k},
     )
+
+
+def _forest_filter(
+    forest: ArrayUnionFind, node_index: dict[Hashable, int], active: list[Edge]
+) -> list[Edge]:
+    """Line 4 on a union-find over ``A``: the edges :func:`_mst_filter` keeps.
+
+    Unions the active edges in canonical order, the order Kruskal meets them,
+    and keeps those that join two components; *forest* then spans ``A`` plus
+    the kept edges.  The kept edges come back in *active* order.
+    """
+    kept = {
+        edge for edge in sorted(active)
+        if forest.union(node_index[edge[0]], node_index[edge[1]])
+    }
+    return [edge for edge in active if edge in kept]
 
 
 def _recompute_effectiveness_nx(

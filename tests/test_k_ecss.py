@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -14,9 +15,17 @@ from repro.core.augmentation import (
     build_subgraph,
     compose_augmentations,
 )
-from repro.core.k_ecss import augment_to_k, k_ecss
+from repro.core.fastaug import BitsetCoverKernel
+from repro.core.k_ecss import (
+    _forest_filter,
+    _mst_filter,
+    augment_to_k,
+    augment_to_k_nx,
+    k_ecss,
+)
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
+from repro.graphs.fastgraph import ArrayUnionFind
 from repro.graphs.generators import harary_graph, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 
@@ -88,6 +97,75 @@ class TestAugmentToK:
         graph = random_k_edge_connected_graph(12, 2, extra_edge_prob=0.3, seed=7)
         with pytest.raises(RuntimeError):
             augment_to_k(graph, self._mst_edges(graph), 2, seed=7, max_iterations=1)
+
+    def test_rescores_only_after_a_grows(self, monkeypatch):
+        graph = random_k_edge_connected_graph(24, 3, extra_edge_prob=0.3, seed=8)
+        current = self._mst_edges(graph)
+        calls = []
+        score = BitsetCoverKernel.score
+
+        def counting_score(kernel):
+            calls.append(None)
+            return score(kernel)
+
+        monkeypatch.setattr(BitsetCoverKernel, "score", counting_score)
+        result = augment_to_k(graph, current, 2, seed=8, cut_seed=8)
+        history = result.metadata["history"]
+        grew = sum(1 for stats in history[:-1] if stats.added > 0)
+        assert len(calls) == 1 + grew < len(history)
+        oracle = augment_to_k_nx(graph, current, 2, seed=8, cut_seed=8)
+        assert history == oracle.metadata["history"]
+
+
+class TestForestFilter:
+    """The union-find Line 4 filter against the full-Kruskal ``_mst_filter``."""
+
+    @staticmethod
+    def _filter_over(graph, forest_edges, active):
+        node_index = {node: i for i, node in enumerate(graph.nodes())}
+        forest = ArrayUnionFind(len(node_index))
+        for u, v in forest_edges:
+            assert forest.union(node_index[u], node_index[v])
+        return _forest_filter(forest, node_index, active)
+
+    def test_matches_full_kruskal_on_random_forests(self):
+        orders_differ = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(12, 40)
+            graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=0.3, seed=seed)
+            edges = sorted(canonical_edge(u, v) for u, v in graph.edges())
+            rng.shuffle(edges)
+            # A: a random forest of at most n / 2 edges, so active edges survive.
+            node_index = {node: i for i, node in enumerate(graph.nodes())}
+            components = ArrayUnionFind(n)
+            forest = [
+                (u, v) for u, v in edges[: rng.randint(0, n // 2)]
+                if components.union(node_index[u], node_index[v])
+            ]
+            in_forest = set(forest)
+            rest = [edge for edge in edges if edge not in in_forest]
+            active = sorted(rng.sample(rest, rng.randint(1, len(rest))), key=repr)
+            orders_differ += sorted(active) != active
+            expected = _mst_filter(graph, in_forest, active)
+            assert self._filter_over(graph, forest, active) == expected
+        assert orders_differ > 0
+
+    def test_only_the_smaller_canonical_edge_of_a_cycle_survives(self):
+        graph = nx.cycle_graph(12)
+        graph.add_edges_from([(2, 10), (2, 11)])
+        # Repr order puts (10, 11) first; Kruskal meets (2, 10) first.
+        active = sorted([(2, 10), (10, 11)], key=repr)
+        assert active == [(10, 11), (2, 10)]
+        assert _mst_filter(graph, {(2, 11)}, active) == [(2, 10)]
+        assert self._filter_over(graph, [(2, 11)], active) == [(2, 10)]
+
+    def test_kept_edges_join_the_forest(self):
+        node_index = {node: node for node in range(12)}
+        forest = ArrayUnionFind(12)
+        assert _forest_filter(forest, node_index, [(0, 1), (1, 2)]) == [(0, 1), (1, 2)]
+        assert _forest_filter(forest, node_index, [(0, 2), (2, 3)]) == [(2, 3)]
+        assert forest.components == 12 - 3
 
 
 class TestKEcss:

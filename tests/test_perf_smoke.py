@@ -24,6 +24,10 @@ Guards in the default test run:
   retained ``Counter``/frozenset oracle loops on n >= 256 instances --
   asserting value-identical scores first, so the guards double as one more
   parity check -- with stricter n = 400 variants behind the ``slow`` marker;
+* the union-find Line 4 filter of ``augment_to_k`` keeps the same edges as
+  the full-Kruskal ``_mst_filter`` oracle on a mid-run ``Aug_2`` iteration
+  at n = 256, and is at least 10x faster even when it rebuilds its
+  union-find from ``A`` on every call;
 * the loopback ``cluster`` backend with 4 workers finishes a latency-bound
   batch at least 2x faster than serial (spawn/registration amortised by the
   entered-backend lifecycle), with a CPU-bound variant of the same guard on
@@ -46,6 +50,7 @@ Guards in the default test run:
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import time
@@ -67,7 +72,12 @@ from repro.cli import main as kecss_main
 from repro.congest.cost_model import CostModel
 from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.core.fastaug import BitsetCoverKernel, PathLabelKernel
-from repro.core.k_ecss import _recompute_effectiveness_nx
+from repro.core.k_ecss import (
+    _forest_filter,
+    _mst_filter,
+    _recompute_effectiveness_nx,
+    augment_to_k,
+)
 from repro.core.three_ecss import _score_round_nx, unweighted_two_ecss_2approx
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import (
@@ -82,7 +92,7 @@ from repro.graphs.cuts import (
     enumerate_cut_pairs_nx,
     enumerate_cuts_of_size,
 )
-from repro.graphs.fastgraph import hop_diameter
+from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter
 from repro.graphs.generators import clique_chain, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 from repro.tap.distributed import distributed_tap, distributed_tap_nx
@@ -105,6 +115,10 @@ THREE_ECSS_MIN_SPEEDUP = 3.0
 #: Acceptance bar for the k-ECSS bitset coverage kernel at n >= 256 against
 #: the frozenset-intersection recompute; 3x leaves CI headroom.
 KECSS_MIN_SPEEDUP = 3.0
+#: Acceptance bar for the union-find MST filter against the full-Kruskal
+#: oracle on one Aug_2 iteration at n = 256 (measured 114-130x on a 2-core
+#: Xeon container); 10x leaves CI headroom.
+KECSS_FILTER_MIN_SPEEDUP = 10.0
 #: Acceptance bar for the loopback cluster backend with 4 workers against
 #: serial execution of the same batch (measured ~3-4x steady state locally).
 CLUSTER_MIN_SPEEDUP = 2.0
@@ -408,6 +422,60 @@ def test_kecss_coverage_speedup_at_n400():
     assert speedup >= KECSS_MIN_SPEEDUP, (
         f"k-ECSS coverage kernel only {speedup:.1f}x at n=400 "
         f"(bar: {KECSS_MIN_SPEEDUP}x)"
+    )
+
+
+def _kecss_filter_speedup(monkeypatch, n: int, seed: int) -> float:
+    """Union-find filter vs the full-Kruskal ``_mst_filter`` on one Aug_2 iteration.
+
+    Records every Line 4 call of one ``Aug_2`` level and replays the middle
+    one of those with active candidates: ``A`` is what the earlier calls
+    kept.  The fast side rebuilds its union-find from ``A`` on every call.
+    Kept edges are asserted identical before timing.
+    """
+    graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=3.0 / n, seed=seed)
+    base = frozenset(
+        canonical_edge(u, v) for u, v in minimum_spanning_tree(graph).edges()
+    )
+    calls = []
+
+    def recording_filter(forest, node_index, active):
+        kept = _forest_filter(forest, node_index, active)
+        calls.append((list(active), kept))
+        return kept
+
+    # As an attribute of ``repro.core``, ``k_ecss`` is the solver, not the module.
+    module = importlib.import_module("repro.core.k_ecss")
+    monkeypatch.setattr(module, "_forest_filter", recording_filter)
+    augment_to_k(graph, base, 2, seed=seed, cut_seed=seed)
+    monkeypatch.undo()
+    with_active = [index for index, (active, _) in enumerate(calls) if active]
+    middle = with_active[len(with_active) // 2]
+    active = calls[middle][0]
+    added = {edge for _, kept in calls[:middle] for edge in kept}
+    assert added
+    node_index = {node: i for i, node in enumerate(graph.nodes())}
+
+    def union_find_filter():
+        forest = ArrayUnionFind(len(node_index))
+        for u, v in added:
+            forest.union(node_index[u], node_index[v])
+        return _forest_filter(forest, node_index, active)
+
+    assert union_find_filter() == _mst_filter(graph, added, active) == calls[middle][1]
+
+    fast = _best_of(union_find_filter)
+    oracle = _best_of(lambda: _mst_filter(graph, added, active))
+    return oracle / fast
+
+
+def test_kecss_mst_filter_speedup_at_n256(monkeypatch):
+    """The Line 4 filter acceptance bar: >= 10x on the E4 family at n = 256."""
+    speedup = _kecss_filter_speedup(monkeypatch, 256, seed=3)
+    print(f"\nk-ECSS union-find MST filter (n=256): {speedup:.1f}x")
+    assert speedup >= KECSS_FILTER_MIN_SPEEDUP, (
+        f"union-find MST filter only {speedup:.1f}x faster than full Kruskal "
+        f"at n=256 (bar: {KECSS_FILTER_MIN_SPEEDUP}x)"
     )
 
 
