@@ -16,8 +16,10 @@ worker count / cache configuration) and persists a JSON baseline holding
   code-version tag, platform and python version, and a wall-clock stamp.
 
 :func:`validate_baseline` is the schema check used by ``--dry-run`` and the
-perf smoke tests; :func:`compare_tables` diffs a fresh run against a stored
-baseline (used to assert aggregate stability across refactors).
+perf smoke tests; ``kecss bench --against`` diffs a fresh run's table against
+a stored baseline with
+:func:`repro.store.regression.compare_tables_with_tolerance` at tolerance 0
+(used to assert aggregate stability across refactors).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "build_baseline",
     "write_baseline",
     "validate_baseline",
-    "compare_tables",
     "baseline_path",
     "table_payload",
     "trial_payload",
@@ -270,32 +271,4 @@ def validate_baseline(payload: object) -> list[str]:
             f"summary.trial_count ({summary['trial_count']}) != len(trials) "
             f"({len(trials)})"
         )
-    return problems
-
-
-def compare_tables(baseline: dict, fresh: Table) -> list[str]:
-    """Diff a stored baseline against a freshly produced table.
-
-    Returns human-readable mismatch descriptions (empty when the aggregates
-    are identical) -- the cross-run regression check future PRs assert
-    against instead of claiming speedups without evidence.
-    """
-    problems: list[str] = []
-    stored = baseline.get("table", {})
-    if list(stored.get("columns", [])) != list(fresh.columns):
-        problems.append(
-            f"columns differ: baseline {stored.get('columns')!r} vs "
-            f"fresh {list(fresh.columns)!r}"
-        )
-        return problems
-    stored_rows = [tuple(row) for row in stored.get("rows", [])]
-    fresh_rows = [tuple(row) for row in fresh.rows]
-    if len(stored_rows) != len(fresh_rows):
-        problems.append(
-            f"row count differs: baseline {len(stored_rows)} vs fresh {len(fresh_rows)}"
-        )
-        return problems
-    for i, (old, new) in enumerate(zip(stored_rows, fresh_rows)):
-        if old != new:
-            problems.append(f"row {i} differs: baseline {old!r} vs fresh {new!r}")
     return problems

@@ -18,7 +18,8 @@ detects a violation raises; the engine captures the traceback per-trial into
 offending (config, seed) pair attached.
 
 The ``diff-fastgraph-*`` trials differential-test the flat-array CSR kernel
-(:mod:`repro.graphs.fastgraph`) against the historical networkx oracles:
+(:mod:`repro.graphs.fastgraph`) against the networkx oracles of
+:mod:`repro.oracles.graphs`:
 bridges, exact edge connectivity, cut-pair enumeration, contraction-based
 min-cut enumeration (same seed, hence identical RNG stream) and the Kruskal
 MST, across every registered generator family in
@@ -28,16 +29,16 @@ The ``diff-tap-*`` and ``diff-labels-*`` trials do the same for the
 flat-array TAP coverage/voting kernel (:mod:`repro.tap.fastcover`) and the
 O(m + n) XOR labelling: the distributed voting TAP (with and without
 symmetry breaking), the sequential greedy TAP and the cycle-space labelling
-(random and exact modes) are run against their historical set-based
-implementations (``distributed_tap_nx`` / ``greedy_tap_nx`` /
-``compute_labels_nx``) with identical seeds, asserting bit-identical
-augmentation sets, weights, iteration counts, per-iteration histories and
-label maps.
+(random and exact modes) are run against their set-based reference
+implementations in :mod:`repro.oracles` (``distributed_tap_nx`` /
+``greedy_tap_nx`` / ``compute_labels_nx``) with identical seeds, asserting
+bit-identical augmentation sets, weights, iteration counts, per-iteration
+histories and label maps.
 
 The ``diff-3ecss-kernel`` and ``diff-kecss-kernel`` trials close the loop on
 the solver inner loops themselves: the kernel-backed :func:`three_ecss` /
 :func:`k_ecss` / :func:`augment_to_k` (CSR path-label scoring and bitset cut
-coverage from :mod:`repro.core.fastaug`) are run against the retained
+coverage from :mod:`repro.core.fastaug`) are run against the
 ``three_ecss_nx`` / ``k_ecss_nx`` / ``augment_to_k_nx`` oracles with
 identical seeds, asserting bit-identical added-edge sets, weights, iteration
 counts and per-iteration histories.
@@ -69,27 +70,20 @@ from repro.analysis.cluster.protocol import (
 from repro.analysis.engine import TrialJob
 from repro.analysis.experiments import register_trial
 from repro.baselines.exact import exact_k_ecss_weight
-from repro.core.k_ecss import augment_to_k, augment_to_k_nx, k_ecss, k_ecss_nx
-from repro.core.three_ecss import three_ecss, three_ecss_nx
+from repro.core.k_ecss import augment_to_k, k_ecss
+from repro.core.three_ecss import three_ecss
 from repro.core.two_ecss import two_ecss
 from repro.graphs.connectivity import (
     bridges,
-    bridges_nx,
     canonical_edge,
     edge_connectivity,
-    edge_connectivity_nx,
     is_k_edge_connected,
     subgraph_weight,
     verify_spanning_subgraph,
 )
-from repro.graphs.cuts import (
-    enumerate_cut_pairs,
-    enumerate_cut_pairs_nx,
-    enumerate_min_cuts_contraction,
-    enumerate_min_cuts_contraction_nx,
-)
+from repro.graphs.cuts import enumerate_cut_pairs, enumerate_min_cuts_contraction
 from repro.cycle_space.cut_pairs import cut_pairs_from_labels
-from repro.cycle_space.labels import compute_labels, compute_labels_nx
+from repro.cycle_space.labels import compute_labels
 from repro.graphs.fastgraph import hop_diameter
 from repro.graphs.generators import (
     FAMILIES,
@@ -97,8 +91,18 @@ from repro.graphs.generators import (
     random_k_edge_connected_graph,
 )
 from repro.mst.sequential import minimum_spanning_tree, mst_weight
-from repro.tap.distributed import distributed_tap, distributed_tap_nx
-from repro.tap.greedy import greedy_tap, greedy_tap_nx
+from repro.oracles.cycle_space import compute_labels_nx
+from repro.oracles.graphs import (
+    bridges_nx,
+    edge_connectivity_nx,
+    enumerate_cut_pairs_nx,
+    enumerate_min_cuts_contraction_nx,
+)
+from repro.oracles.k_ecss import augment_to_k_nx, k_ecss_nx
+from repro.oracles.tap import distributed_tap_nx, greedy_tap_nx
+from repro.oracles.three_ecss import three_ecss_nx
+from repro.tap.distributed import distributed_tap
+from repro.tap.greedy import greedy_tap
 from repro.trees.rooted import RootedTree
 
 __all__ = [

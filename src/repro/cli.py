@@ -93,6 +93,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -350,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class CommandError(Exception):
-    """Bad input caught at the CLI boundary, reported by :func:`main` as one
-    ``kecss: error:`` line: exit 2 for usage errors, 1 for an infeasible
-    instance."""
+    """An error caught at the CLI boundary, reported by :func:`main` as one
+    ``kecss: error:`` line: exit 2 for usage errors, 1 for operational ones
+    (an infeasible instance, an unreadable file, a damaged store)."""
 
     def __init__(self, message: str, exit_code: int = 2) -> None:
         super().__init__(message)
@@ -438,7 +439,7 @@ def _store_dir_from(args: argparse.Namespace, required: bool = False) -> Path | 
     if value:
         return Path(value)
     if required:
-        raise SystemExit(
+        raise CommandError(
             "no trial store configured: pass --store-dir or set REPRO_STORE_DIR"
         )
     return None
@@ -450,7 +451,7 @@ def _open_store(directory: Path, create: bool):
     try:
         return TrialStore(directory, create=create)
     except StoreError as exc:
-        raise SystemExit(str(exc))
+        raise CommandError(str(exc), exit_code=1) from None
 
 
 def _apply_obs_options(args: argparse.Namespace) -> None:
@@ -468,7 +469,9 @@ def _apply_obs_options(args: argparse.Namespace) -> None:
     try:
         enable_tracing(value, truncate=True)
     except OSError as exc:
-        raise SystemExit(f"cannot write trace file {value!r}: {exc}")
+        raise CommandError(
+            f"cannot write trace file {value!r}: {exc}", exit_code=1
+        ) from None
 
 
 def _apply_cluster_options(args: argparse.Namespace) -> None:
@@ -482,7 +485,7 @@ def _apply_cluster_options(args: argparse.Namespace) -> None:
     if value is None:
         return
     if not value > 0:  # rejects NaN too
-        raise SystemExit(f"--heartbeat-timeout must be > 0, got {value!r}")
+        raise CommandError(f"--heartbeat-timeout must be > 0, got {value!r}")
     from repro.analysis.cluster.backend import HEARTBEAT_ENV
 
     os.environ[HEARTBEAT_ENV] = str(value)
@@ -497,7 +500,9 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         try:
             Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise SystemExit(f"cannot create cache dir {args.cache_dir!r}: {exc}")
+            raise CommandError(
+                f"cannot create cache dir {args.cache_dir!r}: {exc}", exit_code=1
+            ) from None
     return dict(
         workers=args.workers,
         backend=args.backend,
@@ -512,7 +517,7 @@ def _experiment(args: argparse.Namespace) -> int:
         and args.experiment_id is not None
         and args.positional_id != args.experiment_id
     ):
-        raise SystemExit(
+        raise CommandError(
             f"conflicting experiment ids: positional {args.positional_id!r} "
             f"vs --id {args.experiment_id!r}"
         )
@@ -564,11 +569,11 @@ def _bench(args: argparse.Namespace) -> int:
 
     ids = sorted(_EXPERIMENTS) if args.experiment_id == "all" else [args.experiment_id]
     if args.out is not None and len(ids) != 1:
-        raise SystemExit("--out requires a single experiment id (use --out-dir for 'all')")
+        raise CommandError("--out requires a single experiment id (use --out-dir for 'all')")
     if args.against is not None and len(ids) != 1:
-        raise SystemExit("--against requires a single experiment id")
+        raise CommandError("--against requires a single experiment id")
     if args.against is not None and args.out is not None:
-        raise SystemExit(
+        raise CommandError(
             "--against does not write baselines; drop --out (or record a new "
             "baseline first, then compare)"
         )
@@ -597,30 +602,30 @@ def _bench_one(args, engine, experiment_id, store, store_dir) -> int:
     from repro.analysis.bench import (
         baseline_path,
         build_baseline,
-        compare_tables,
         validate_baseline,
         write_baseline,
     )
+    from repro.store.regression import compare_tables_with_tolerance
 
     exit_code = 0
     payload = build_baseline(experiment_id, engine=engine)
     problems = validate_baseline(payload)
     if problems:
-        raise SystemExit(
+        raise CommandError(
             f"internal error: {experiment_id} baseline failed its own schema "
-            f"check: {'; '.join(problems)}"
+            f"check: {'; '.join(problems)}",
+            exit_code=1,
         )
     if args.against is not None:
         try:
             stored = json.loads(Path(args.against).read_text())
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.against!r}: {exc}")
-        fresh = Table(
-            title=payload["table"]["title"],
-            columns=payload["table"]["columns"],
-            rows=[tuple(row) for row in payload["table"]["rows"]],
+            raise CommandError(
+                f"cannot read baseline {args.against!r}: {exc}", exit_code=1
+            ) from None
+        mismatches = compare_tables_with_tolerance(
+            stored.get("table", {}), payload["table"], 0.0
         )
-        mismatches = compare_tables(stored, fresh)
         if mismatches:
             exit_code = 1
             print(f"{experiment_id}: aggregates drifted from {args.against}:")
@@ -634,7 +639,7 @@ def _bench_one(args, engine, experiment_id, store, store_dir) -> int:
         try:
             info = import_baseline(store, payload, source="kecss bench")
         except StoreError as exc:
-            raise SystemExit(str(exc))
+            raise CommandError(str(exc), exit_code=1) from None
         print(f"{experiment_id}: stored {info.run_id} in {store_dir}")
     if args.dry_run:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -692,7 +697,7 @@ def _history(args: argparse.Namespace) -> int:
     from repro.store import StoreError, history_drilldown, history_table
 
     if args.by is not None and args.metric is None:
-        raise SystemExit("--by requires --metric (the metric to drill into)")
+        raise CommandError("--by requires --metric (the metric to drill into)")
     store = _open_store(_store_dir_from(args, required=True), create=False)
     try:
         if args.metric is not None:
@@ -719,11 +724,11 @@ def _worker(args: argparse.Namespace) -> int:
 
     host, sep, port_text = args.connect.rpartition(":")
     if not sep or not host:
-        raise SystemExit(f"--connect expects HOST:PORT, got {args.connect!r}")
+        raise CommandError(f"--connect expects HOST:PORT, got {args.connect!r}")
     try:
         port = int(port_text)
     except ValueError:
-        raise SystemExit(
+        raise CommandError(
             f"--connect has a non-numeric port: {args.connect!r}"
         ) from None
     secret = secret_from_env()
@@ -757,6 +762,14 @@ def _worker(args: argparse.Namespace) -> int:
 def _regress(args: argparse.Namespace) -> int:
     from repro.store import StoreError, regress
 
+    for flag, value in (
+        ("--tolerance", args.tolerance),
+        ("--duration-tolerance", args.duration_tolerance),
+    ):
+        # NaN would switch the drift gate off (NaN > x is always False) and a
+        # negative bound would flag every unchanged cell.
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise CommandError(f"{flag} must be a finite number >= 0, got {value!r}")
     store = _open_store(_store_dir_from(args, required=True), create=False)
     try:
         exit_code, lines = regress(
@@ -767,7 +780,7 @@ def _regress(args: argparse.Namespace) -> int:
         )
     except StoreError as exc:
         # E.g. a corrupt run manifest: an operational error, not drift.
-        raise SystemExit(str(exc))
+        raise CommandError(str(exc), exit_code=1) from None
     for line in lines:
         print(line)
     return exit_code
@@ -778,25 +791,25 @@ def _store_cmd(args: argparse.Namespace) -> int:
 
     store_dir = _store_dir_from(args, required=True)
     if args.repair and args.action != "fsck":
-        raise SystemExit("--repair only applies to store fsck")
+        raise CommandError("--repair only applies to store fsck")
     if args.keep_last is not None and args.action != "gc":
-        raise SystemExit("--keep-last only applies to store gc")
+        raise CommandError("--keep-last only applies to store gc")
     if args.action == "import":
         if not args.paths:
-            raise SystemExit("store import needs at least one BENCH_*.json path")
+            raise CommandError("store import needs at least one BENCH_*.json path")
         store = _open_store(store_dir, create=True)
         for path in args.paths:
             try:
                 info = import_baseline_file(store, path)
             except StoreError as exc:
-                raise SystemExit(str(exc))
+                raise CommandError(str(exc), exit_code=1) from None
             print(
                 f"imported {path} as {info.run_id} "
                 f"({info.trial_count} trials, version {info.code_version})"
             )
         return 0
     if args.paths:
-        raise SystemExit(f"store {args.action} takes no positional arguments")
+        raise CommandError(f"store {args.action} takes no positional arguments")
     if args.action == "fsck":
         store = _open_store(store_dir, create=False)
         findings = store.fsck(repair=args.repair)
@@ -821,14 +834,14 @@ def _store_cmd(args: argparse.Namespace) -> int:
         return 1
     if args.action == "gc":
         if args.keep_last is None:
-            raise SystemExit("store gc needs --keep-last N (N >= 1)")
+            raise CommandError("store gc needs --keep-last N (N >= 1)")
         if args.keep_last < 1:
-            raise SystemExit(f"--keep-last must be >= 1, got {args.keep_last}")
+            raise CommandError(f"--keep-last must be >= 1, got {args.keep_last}")
         store = _open_store(store_dir, create=False)
         try:
             removed = store.gc(args.keep_last)
         except StoreError as exc:
-            raise SystemExit(str(exc))
+            raise CommandError(str(exc), exit_code=1) from None
         for info in removed:
             print(f"removed {info.run_id} ({info.experiment}, "
                   f"{info.trial_count} trials)")
@@ -840,7 +853,7 @@ def _store_cmd(args: argparse.Namespace) -> int:
     try:
         runs = store.runs()
     except StoreError as exc:
-        raise SystemExit(str(exc))
+        raise CommandError(str(exc), exit_code=1) from None
     if not runs:
         print(f"store at {store_dir} holds no runs")
         return 0
@@ -963,7 +976,9 @@ def _trace(args: argparse.Namespace) -> int:
         try:
             Path(args.out).write_text(rendering + "\n", encoding="utf-8")
         except OSError as exc:
-            raise SystemExit(f"cannot write {args.out!r}: {exc}")
+            raise CommandError(
+                f"cannot write {args.out!r}: {exc}", exit_code=1
+            ) from None
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(rendering)

@@ -35,7 +35,7 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 
 Rounded cost-effectiveness values are represented by their integer exponents
 (``rho~ = 2^e``), compared exactly against the ``Fraction`` values the
-retained ``*_nx`` oracles produce; the ``diff-3ecss-kernel`` /
+oracles in :mod:`repro.oracles` produce; the ``diff-3ecss-kernel`` /
 ``diff-kecss-kernel`` differential sweeps assert bit-identical added-edge
 sets, weights, iteration counts and histories.
 """
@@ -47,13 +47,13 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import networkx as nx
 
-from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
 from repro.graphs.connectivity import canonical_edge
 from repro.trees.lca import LCAIndex
 
 Edge = tuple[Hashable, Hashable]
 
 __all__ = [
+    "INFINITE_EFFECTIVENESS",
     "GuessingSchedule",
     "PathLabelKernel",
     "BitsetCoverKernel",
@@ -62,6 +62,34 @@ __all__ = [
 ]
 
 _UNSET = object()
+
+
+class _Infinity:
+    """Sentinel comparing greater than every fraction (the rho of zero-weight edges)."""
+
+    def __gt__(self, other) -> bool:
+        return not isinstance(other, _Infinity)
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __ge__(self, other) -> bool:
+        return True
+
+    def __le__(self, other) -> bool:
+        return isinstance(other, _Infinity)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Infinity)
+
+    def __hash__(self) -> int:
+        return hash("INFINITE_EFFECTIVENESS")
+
+    def __repr__(self) -> str:
+        return "INFINITE_EFFECTIVENESS"
+
+
+INFINITE_EFFECTIVENESS = _Infinity()
 
 
 def probability_schedule_start(m: int) -> float:
@@ -76,7 +104,7 @@ def rounded_exponent(uncovered: int, weight: int) -> int:
     strictly greater than ``uncovered / weight`` (both positive).
 
     Exact integer arithmetic: ``2^(e-1) <= uncovered / weight < 2^e``, the
-    same value :func:`repro.core.cost_effectiveness.rounded_cost_effectiveness`
+    same value :func:`repro.oracles.cost_effectiveness.rounded_cost_effectiveness`
     returns as a ``Fraction`` -- without constructing one.
     """
     shift = uncovered.bit_length() - weight.bit_length()

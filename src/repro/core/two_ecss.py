@@ -22,8 +22,8 @@ from repro.decomposition.segments import TreeDecomposition, build_decomposition
 from repro.graphs.connectivity import is_k_edge_connected
 from repro.graphs.fastgraph import hop_diameter
 from repro.mst.distributed import build_mst_with_fragments
-from repro.tap.cover import CoverageState
 from repro.tap.distributed import TapResult, distributed_tap
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -54,7 +54,7 @@ def weighted_tap(
     if decomposition is not None:
         segment_diameter = max(1, decomposition.max_segment_diameter())
         lca = decomposition.lca if decomposition.lca.tree is tree else None
-        coverage = CoverageState(graph, tree, lca=lca)
+        coverage = FastCoverage(graph, tree, lca=lca)
     return distributed_tap(
         graph,
         tree,

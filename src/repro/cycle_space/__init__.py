@@ -14,7 +14,7 @@ algorithm uses the labels to compute cost-effectiveness in O(D) rounds.
 """
 
 from repro.cycle_space.circulation import random_circulation, is_binary_circulation
-from repro.cycle_space.labels import EdgeLabelling, compute_labels, compute_labels_nx
+from repro.cycle_space.labels import EdgeLabelling, compute_labels
 from repro.cycle_space.cut_pairs import (
     cut_pairs_from_labels,
     exact_cut_pairs,
@@ -26,7 +26,6 @@ __all__ = [
     "is_binary_circulation",
     "EdgeLabelling",
     "compute_labels",
-    "compute_labels_nx",
     "cut_pairs_from_labels",
     "exact_cut_pairs",
     "label_multiplicities",

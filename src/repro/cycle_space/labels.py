@@ -21,8 +21,8 @@ the label of tree edge ``(v, p(v))`` is the subtree XOR at ``v``, because the
 tags of a non-tree edge with both endpoints inside the subtree cancel.  This
 is exactly the single convergecast the distributed implementation performs
 (Theorem 4.2 of [32]).  Exact-mode covering sets are materialised over the
-flat-array path extractor.  The historical per-path accumulation survives as
-:func:`compute_labels_nx`, the oracle of the ``diff-labels-*`` suite.
+flat-array path extractor.  The reference implementation is
+:mod:`repro.oracles.cycle_space`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.trees.rooted import RootedTree
 Edge = tuple[Hashable, Hashable]
 Label = object  # int (random mode) or frozenset (exact mode)
 
-__all__ = ["EdgeLabelling", "compute_labels", "compute_labels_nx"]
+__all__ = ["EdgeLabelling", "compute_labels"]
 
 
 class EdgeLabelling:
@@ -120,7 +120,7 @@ def _prepare(
     bits: int | None,
     mode: str,
 ) -> tuple[RootedTree, int, list[Edge]]:
-    """Shared validation + defaults of both labelling implementations."""
+    """Validation and defaults (shared with the oracle)."""
     if graph.number_of_nodes() < 2:
         raise ValueError("labelling needs at least two vertices")
     if mode not in {"random", "exact"}:
@@ -218,57 +218,5 @@ def compute_labels(
             labels[tree_edge] = frozenset(covering[child])
     return EdgeLabelling(
         graph=graph, tree=tree, labels=labels, bits=0, mode=mode,
-        tree_paths=tree_paths, lca=lca,
-    )
-
-
-# --------------------------------------------------------------------- oracle
-def compute_labels_nx(
-    graph: nx.Graph,
-    tree: RootedTree | None = None,
-    bits: int | None = None,
-    mode: str = "random",
-    seed: int | random.Random | None = None,
-    lca: LCAIndex | None = None,
-) -> EdgeLabelling:
-    """The historical per-path accumulation (reference oracle).
-
-    Draws the same RNG stream and produces identical labels to
-    :func:`compute_labels`, but XORs every non-tree label onto each tree edge
-    of its path individually -- O(sum of path lengths).  The
-    ``diff-labels-*`` differential suite asserts the parity.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    tree, bits, non_tree_edges = _prepare(graph, tree, bits, mode)
-    if lca is None:
-        lca = LCAIndex(tree)
-    tree_edge_set = set(tree.tree_edges())
-
-    labels: dict[Edge, Label] = {}
-    tree_paths: dict[Edge, frozenset[Edge]] = {}
-    for edge in non_tree_edges:
-        tree_paths[edge] = frozenset(lca.tree_path_edges(*edge))
-
-    if mode == "random":
-        for edge in non_tree_edges:
-            labels[edge] = rng.getrandbits(bits)
-        accumulator: dict[Edge, int] = {t: 0 for t in tree_edge_set}
-        for edge in non_tree_edges:
-            for t in tree_paths[edge]:
-                accumulator[t] ^= labels[edge]
-        labels.update(accumulator)
-    else:
-        for edge in non_tree_edges:
-            labels[edge] = frozenset({edge})
-        covering: dict[Edge, set[Edge]] = {t: set() for t in tree_edge_set}
-        for edge in non_tree_edges:
-            for t in tree_paths[edge]:
-                covering[t].add(edge)
-        for t, cover in covering.items():
-            labels[t] = frozenset(cover)
-        bits = 0
-
-    return EdgeLabelling(
-        graph=graph, tree=tree, labels=labels, bits=bits, mode=mode,
         tree_paths=tree_paths, lca=lca,
     )

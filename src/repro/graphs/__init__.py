@@ -26,10 +26,8 @@ from repro.graphs.generators import (
 )
 from repro.graphs.connectivity import (
     edge_connectivity,
-    edge_connectivity_nx,
     is_k_edge_connected,
     bridges,
-    bridges_nx,
     verify_spanning_subgraph,
     subgraph_weight,
 )
@@ -38,9 +36,7 @@ from repro.graphs.cuts import (
     enumerate_cuts_of_size,
     enumerate_bridge_cuts,
     enumerate_cut_pairs,
-    enumerate_cut_pairs_nx,
     enumerate_min_cuts_contraction,
-    enumerate_min_cuts_contraction_nx,
     cut_is_covered,
 )
 
@@ -57,18 +53,14 @@ __all__ = [
     "assign_random_weights",
     "assign_unit_weights",
     "edge_connectivity",
-    "edge_connectivity_nx",
     "is_k_edge_connected",
     "bridges",
-    "bridges_nx",
     "verify_spanning_subgraph",
     "subgraph_weight",
     "Cut",
     "enumerate_cuts_of_size",
     "enumerate_bridge_cuts",
     "enumerate_cut_pairs",
-    "enumerate_cut_pairs_nx",
     "enumerate_min_cuts_contraction",
-    "enumerate_min_cuts_contraction_nx",
     "cut_is_covered",
 ]

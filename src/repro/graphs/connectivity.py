@@ -9,8 +9,8 @@ The hot paths run on the flat-array CSR kernel of
 iterative Tarjan bridge finding and the exact cut-pair characterisation of
 Claim 5.6, so the common ``k <= 3`` verification never touches networkx
 max-flow.  Only the exact connectivity *value* of a 3-edge-connected graph
-still falls back to ``nx.edge_connectivity``.  The historical networkx
-implementations are kept as ``*_nx`` oracles for the differential tests.
+still falls back to ``nx.edge_connectivity``.  The reference implementations
+are in :mod:`repro.oracles.graphs`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ Edge = tuple[Hashable, Hashable]
 
 __all__ = [
     "edge_connectivity",
-    "edge_connectivity_nx",
     "is_k_edge_connected",
     "bridges",
-    "bridges_nx",
     "subgraph_weight",
     "verify_spanning_subgraph",
     "edge_set",
@@ -89,15 +87,6 @@ def edge_connectivity(graph: nx.Graph) -> int:
     return nx.edge_connectivity(graph)
 
 
-def edge_connectivity_nx(graph: nx.Graph) -> int:
-    """The historical all-networkx edge connectivity (differential oracle)."""
-    if graph.number_of_nodes() <= 1:
-        return 0
-    if not nx.is_connected(graph):
-        return 0
-    return nx.edge_connectivity(graph)
-
-
 def is_k_edge_connected(graph: nx.Graph, k: int) -> bool:
     """Return ``True`` iff *graph* remains connected after any ``k - 1`` edge removals."""
     if k <= 0:
@@ -129,13 +118,6 @@ def bridges(graph: nx.Graph) -> set[Edge]:
         return set()
     fast = FastGraph.from_nx(graph)
     return {canonical_edge(*fast.edge_labels(eid)) for eid in fast.bridges()}
-
-
-def bridges_nx(graph: nx.Graph) -> set[Edge]:
-    """The historical networkx bridge finder (differential oracle)."""
-    if graph.number_of_edges() == 0:
-        return set()
-    return {canonical_edge(u, v) for u, v in nx.bridges(graph)}
 
 
 def subgraph_weight(graph: nx.Graph, edges: Iterable[Edge]) -> int:

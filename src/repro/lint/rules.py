@@ -76,14 +76,17 @@ _INEXACT_MATH = frozenset(
 
 #: Modules whose scoring/accumulation paths are documented exact
 #: (``Fraction``/int arithmetic; see the module docstrings): the TAP
-#: cost-effectiveness pipeline and the 3-ECSS/k-ECSS scoring kernels.
-#: DET004 flags any float that creeps into them.
+#: cost-effectiveness pipeline, the 3-ECSS/k-ECSS scoring kernels and the
+#: ``Fraction``-scoring oracles they are compared against.  DET004 flags any
+#: float that creeps into them.
 EXACT_MODULES = frozenset(
     {
-        "repro.core.cost_effectiveness",
         "repro.core.fastaug",
         "repro.core.three_ecss",
-        "repro.tap.cover",
+        "repro.oracles.cost_effectiveness",
+        "repro.oracles.k_ecss",
+        "repro.oracles.tap",
+        "repro.oracles.three_ecss",
         "repro.tap.distributed",
         "repro.tap.fastcover",
         "repro.tap.greedy",

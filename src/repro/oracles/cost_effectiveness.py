@@ -1,4 +1,4 @@
-"""Cost-effectiveness bookkeeping (Section 2.1).
+"""Exact cost-effectiveness bookkeeping (Section 2.1), the oracles' scoring.
 
 The cost-effectiveness of a candidate edge ``e`` is ``rho(e) = |C_e| / w(e)``,
 the number of still-uncovered cuts it covers per unit of weight; candidates
@@ -7,12 +7,16 @@ power of two strictly greater than ``rho(e)``.  Zero-weight edges have
 infinite cost-effectiveness (the algorithms add them up-front).
 
 Exact fractions are used throughout so that ties and maxima are deterministic
-and independent of floating point rounding.
+and independent of floating point rounding.  The solvers compare integer
+exponents instead (:func:`repro.core.fastaug.rounded_exponent`); the
+:data:`~repro.core.fastaug.INFINITE_EFFECTIVENESS` sentinel is shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from repro.core.fastaug import INFINITE_EFFECTIVENESS, _Infinity
 
 __all__ = [
     "INFINITE_EFFECTIVENESS",
@@ -20,34 +24,6 @@ __all__ = [
     "round_up_to_power_of_two",
     "rounded_cost_effectiveness",
 ]
-
-
-class _Infinity:
-    """Sentinel comparing greater than every fraction (the rho of zero-weight edges)."""
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _Infinity)
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __hash__(self) -> int:
-        return hash("INFINITE_EFFECTIVENESS")
-
-    def __repr__(self) -> str:
-        return "INFINITE_EFFECTIVENESS"
-
-
-INFINITE_EFFECTIVENESS = _Infinity()
 
 
 def cost_effectiveness(uncovered: int, weight: int) -> Fraction | _Infinity:

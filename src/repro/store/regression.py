@@ -70,11 +70,14 @@ def _drifted(old: object, new: object, tolerance: float) -> bool:
 
     NaN on either side is always drift: ``NaN > tolerance`` is False, so a
     plain comparison would wave a broken (NaN) aggregate through the gate
-    exactly when the result is most wrong.
+    exactly when the result is most wrong.  So is an infinite cell against a
+    finite one (their relative drift is NaN too).  At tolerance 0 every
+    unequal pair is drift, even integers too large for a float to tell apart.
     """
-    if isnan(float(old)) or isnan(float(new)):
-        return True
-    return relative_drift(old, new) > tolerance
+    if old == new:
+        return False
+    drift = relative_drift(old, new)
+    return tolerance == 0 or isnan(drift) or drift > tolerance
 
 
 def duration_stats(durations: Sequence[float]) -> dict[str, float]:
@@ -314,6 +317,11 @@ def compare_tables_with_tolerance(
         return [f"table row count differs: {len(old_rows)} vs {len(new_rows)}"]
     headers = list(old.get("columns", []))
     for r, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
+        if len(old_row) != len(new_row):
+            problems.append(
+                f"table[{r}] has {len(old_row)} cells vs {len(new_row)}"
+            )
+            continue
         for c, (old_cell, new_cell) in enumerate(zip(old_row, new_row)):
             if _is_number(old_cell) and _is_number(new_cell):
                 if _drifted(old_cell, new_cell, tolerance):

@@ -7,28 +7,21 @@ added edge whose tree path contains it.
 
 * :mod:`repro.tap.fastcover` -- the flat-array coverage/voting kernel (CSR
   tree paths over integer tree-edge ids, incremental ``|C_e|`` counters,
-  array-stamped voting rounds),
-* :mod:`repro.tap.cover` -- coverage bookkeeping shared by all TAP solvers
-  (a thin facade over the kernel; the historical set-based implementation
-  survives as ``CoverageStateNX`` for differential testing),
+  array-stamped voting rounds), shared by every TAP solver and the exact
+  ILP baseline,
 * :mod:`repro.tap.distributed` -- the paper's randomised voting algorithm
   (Theorem 3.12): O(log n)-approximation, O(log^2 n) iterations w.h.p.,
 * :mod:`repro.tap.greedy` -- the classic sequential greedy set-cover TAP used
   as a quality baseline.
 """
 
-from repro.tap.cover import CoverageState, CoverageStateNX
-from repro.tap.distributed import TapResult, distributed_tap, distributed_tap_nx
+from repro.tap.distributed import TapResult, distributed_tap
 from repro.tap.fastcover import FastCoverage
-from repro.tap.greedy import greedy_tap, greedy_tap_nx
+from repro.tap.greedy import greedy_tap
 
 __all__ = [
-    "CoverageState",
-    "CoverageStateNX",
     "FastCoverage",
     "TapResult",
     "distributed_tap",
-    "distributed_tap_nx",
     "greedy_tap",
-    "greedy_tap_nx",
 ]

@@ -1,9 +1,9 @@
 """Flat-array coverage/voting kernel for tree augmentation (Section 3).
 
-:class:`FastCoverage` is the array-native engine under
-:class:`repro.tap.cover.CoverageState`.  It materialises, for every non-tree
-edge of the input graph, the tree path between its endpoints as CSR-style
-flat arrays over integer tree-edge ids:
+:class:`FastCoverage` is the coverage bookkeeping of every TAP solver and of
+the exact ILP baseline.  It materialises, for every non-tree edge of the input
+graph, the tree path between its endpoints as CSR-style flat arrays over
+integer tree-edge ids:
 
 * ``path_indptr`` / ``path_tree`` -- non-tree edge id ``j`` covers the tree
   edges ``path_tree[path_indptr[j]:path_indptr[j + 1]]`` (the set ``S_e``);
@@ -15,9 +15,9 @@ flat arrays over integer tree-edge ids:
   candidate scoring of the distributed TAP algorithm is a flat array scan
   instead of per-edge ``frozenset`` subtraction.
 
-Tree-edge ids are the public :class:`~repro.tap.cover.CoverageState` index
-space (tree edges sorted by ``repr``), so facade callers (the exact ILP
-baseline, the tests) and the kernel agree on indices.  Paths are extracted
+Tree-edge ids number the tree edges sorted by ``repr``, the index space of
+the reference :class:`repro.oracles.tap.CoverageStateNX`, so kernel and
+oracle agree on indices.  Paths are extracted
 with :class:`repro.graphs.fastgraph.TreePathIndex` via the
 :class:`~repro.trees.lca.LCAIndex` arrays, never through per-edge hashable
 path objects.
@@ -54,8 +54,7 @@ class FastCoverage:
             driver reuses the decomposition's index).
 
     Attributes:
-        tree_edges: Tree-edge id -> canonical edge (sorted by ``repr``; the
-            public ``CoverageState`` index space).
+        tree_edges: Tree-edge id -> canonical edge (sorted by ``repr``).
         nt_edges: Non-tree edge id -> canonical edge (``graph.edges()``
             order, the order the historical implementation iterated in).
         nt_weight: Non-tree edge id -> integer weight.

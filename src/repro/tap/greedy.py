@@ -10,9 +10,8 @@ The selection loop runs on the flat-array kernel: the candidate order is the
 ``repr``-sorted edge list computed once up front, ``|C_e|`` comes from the
 incrementally maintained counter array, and cost-effectiveness ties are
 decided by integer cross-multiplication -- no list copies, ``repr`` calls or
-``Fraction`` allocations per step.  The output is identical to the historical
-implementation, which survives as :func:`greedy_tap_nx` for the differential
-suite.
+``Fraction`` allocations per step.  The output is identical to the reference
+implementation in :mod:`repro.oracles.tap`.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.core.cost_effectiveness import cost_effectiveness
-from repro.tap.cover import CoverageState, CoverageStateNX
+from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
-__all__ = ["GreedyTapResult", "greedy_tap", "greedy_tap_nx"]
+__all__ = ["GreedyTapResult", "greedy_tap"]
 
 
 @dataclass
@@ -40,11 +38,7 @@ class GreedyTapResult:
     steps: int
 
 
-def greedy_tap(
-    graph: nx.Graph,
-    tree: RootedTree,
-    coverage: CoverageState | None = None,
-) -> GreedyTapResult:
+def greedy_tap(graph: nx.Graph, tree: RootedTree) -> GreedyTapResult:
     """Greedy weighted TAP: always add the single most cost-effective edge.
 
     Zero-weight edges are taken first (their cost-effectiveness is infinite),
@@ -52,8 +46,7 @@ def greedy_tap(
     tree edge is covered.  Ties are broken towards the smallest edge ``repr``,
     exactly as the historical scan did.
     """
-    state = coverage if coverage is not None else CoverageState(graph, tree)
-    fast = state.fast
+    fast = FastCoverage(graph, tree)
     weights = fast.nt_weight
     uncovered_counts = fast.nt_uncovered
     in_augmentation = bytearray(fast.m_nt)
@@ -103,50 +96,3 @@ def greedy_tap(
         weight=sum(weights[j] for j in augmentation_ids),
         steps=steps,
     )
-
-
-def greedy_tap_nx(
-    graph: nx.Graph,
-    tree: RootedTree,
-    coverage: CoverageStateNX | None = None,
-) -> GreedyTapResult:
-    """The historical per-step rescan implementation (reference oracle).
-
-    Kept for the ``diff-tap-greedy`` differential suite: it re-evaluates
-    ``cost_effectiveness`` as exact fractions and breaks ties by ``repr``
-    inside the loop, the behaviour :func:`greedy_tap` reproduces exactly.
-    """
-    state = coverage if coverage is not None else CoverageStateNX(graph, tree)
-    augmentation: set[Edge] = set()
-    steps = 0
-
-    zero_weight = [edge for edge in state.non_tree_edges if state.weight(edge) == 0]
-    if zero_weight:
-        augmentation.update(zero_weight)
-        state.cover_with_many(zero_weight)
-
-    while not state.all_covered():
-        steps += 1
-        best_edge = None
-        best_value = None
-        for edge in state.non_tree_edges:
-            if edge in augmentation:
-                continue
-            uncovered = state.uncovered_count(edge)
-            if uncovered == 0:
-                continue
-            value = cost_effectiveness(uncovered, state.weight(edge))
-            if best_value is None or value > best_value or (
-                value == best_value and repr(edge) < repr(best_edge)
-            ):
-                best_value = value
-                best_edge = edge
-        if best_edge is None:
-            raise RuntimeError(
-                "greedy TAP ran out of covering edges; the graph is not 2-edge-connected"
-            )
-        augmentation.add(best_edge)
-        state.cover_with(best_edge)
-
-    weight = sum(state.weight(edge) for edge in augmentation)
-    return GreedyTapResult(augmentation=augmentation, weight=weight, steps=steps)

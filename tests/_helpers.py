@@ -17,3 +17,17 @@ def random_tree(n: int, seed: int) -> RootedTree:
     for node in range(1, n):
         tree.add_edge(node, rng.randrange(node))
     return RootedTree(tree, root=0)
+
+
+def cli_error(argv: list[str], capsys) -> tuple[int, str]:
+    """Run ``kecss argv`` where it must fail with one ``kecss: error:`` line.
+
+    Returns ``(exit_code, message)``: 2 for usage errors, 1 for operational
+    ones.
+    """
+    from repro.cli import main
+
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kecss: error: "), lines
+    return code, lines[0].removeprefix("kecss: error: ")

@@ -277,7 +277,7 @@ class TestCodeVersion:
     def test_module_files_expands_packages(self):
         package_files = module_files("repro.tap")
         assert len(package_files) >= 3
-        (single,) = module_files("repro.tap.cover")
+        (single,) = module_files("repro.tap.fastcover")
         assert single in package_files
 
     def test_unknown_module_raises(self):

@@ -51,6 +51,8 @@ from repro.analysis.engine import ExperimentEngine
 from repro.cli import main as kecss_main
 from repro.graphs.generators import FAMILIES
 
+from _helpers import cli_error
+
 WAIT = 30.0  # generous registration/liveness deadline for slow CI
 
 
@@ -721,11 +723,13 @@ class TestAttachModeAndWorkerCli:
         assert exit_codes == [0]
         assert "computed 9 item(s)" in capsys.readouterr().err
 
-    def test_kecss_worker_rejects_malformed_addresses(self):
-        with pytest.raises(SystemExit, match="HOST:PORT"):
-            kecss_main(["worker", "--connect", "nocolon"])
-        with pytest.raises(SystemExit, match="non-numeric"):
-            kecss_main(["worker", "--connect", "host:xyz"])
+    def test_kecss_worker_rejects_malformed_addresses(self, capsys):
+        code, message = cli_error(["worker", "--connect", "nocolon"], capsys)
+        assert code == 2
+        assert message == "--connect expects HOST:PORT, got 'nocolon'"
+        code, message = cli_error(["worker", "--connect", "host:xyz"], capsys)
+        assert code == 2
+        assert message == "--connect has a non-numeric port: 'host:xyz'"
 
     def test_kecss_worker_unreachable_coordinator_is_exit_code_1(
         self, capsys, monkeypatch

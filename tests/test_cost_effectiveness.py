@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cost_effectiveness import (
-    INFINITE_EFFECTIVENESS,
+from repro.core.fastaug import INFINITE_EFFECTIVENESS
+from repro.oracles.cost_effectiveness import (
     cost_effectiveness,
     round_up_to_power_of_two,
     rounded_cost_effectiveness,

@@ -30,28 +30,24 @@ import pytest
 from repro.analysis.differential import solver_kernel_jobs
 from repro.analysis.engine import ExperimentEngine
 from repro.analysis.runner import trial_groups
-from repro.core.cost_effectiveness import (
-    INFINITE_EFFECTIVENESS,
-    rounded_cost_effectiveness,
-)
 from repro.core.fastaug import (
+    INFINITE_EFFECTIVENESS,
     BitsetCoverKernel,
     GuessingSchedule,
     PathLabelKernel,
     probability_schedule_start,
     rounded_exponent,
 )
-from repro.core.k_ecss import augment_to_k, augment_to_k_nx
-from repro.core.three_ecss import (
-    _score_round_nx,
-    three_ecss,
-    unweighted_two_ecss_2approx,
-)
+from repro.core.k_ecss import augment_to_k
+from repro.core.three_ecss import three_ecss, unweighted_two_ecss_2approx
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import canonical_edge
 from repro.graphs.cuts import enumerate_cuts_of_size
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
+from repro.oracles.cost_effectiveness import rounded_cost_effectiveness
+from repro.oracles.k_ecss import augment_to_k_nx
+from repro.oracles.three_ecss import _score_round_nx
 from repro.trees.lca import LCAIndex
 
 N_GRAPHS = 50

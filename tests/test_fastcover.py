@@ -28,7 +28,8 @@ from repro.analysis.runner import trial_groups
 from repro.graphs.fastgraph import TreePathIndex
 from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.cover import CoverageState, CoverageStateNX
+from repro.oracles.tap import CoverageStateNX
+from repro.tap.fastcover import FastCoverage
 from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
@@ -117,8 +118,7 @@ class TestTreePathIndex:
 class TestFastCoverage:
     def test_paths_match_lca_index(self):
         graph, tree = _mst_instance(16, 0)
-        state = CoverageState(graph, tree)
-        fast = state.fast
+        fast = FastCoverage(graph, tree)
         lca = LCAIndex(tree)
         for j, edge in enumerate(fast.nt_edges):
             expected = {
@@ -129,7 +129,7 @@ class TestFastCoverage:
 
     def test_covering_is_the_exact_transpose(self):
         graph, tree = _mst_instance(14, 1)
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         for t in range(fast.n_tree):
             expected = [
                 j for j in range(fast.m_nt) if t in set(fast.path_indices(j))
@@ -138,7 +138,7 @@ class TestFastCoverage:
 
     def test_uncovered_counters_stay_consistent_under_covering(self):
         graph, tree = _mst_instance(18, 2)
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         rng = random.Random(2)
         ids = list(range(fast.m_nt))
         rng.shuffle(ids)
@@ -156,45 +156,51 @@ class TestFastCoverage:
 
     def test_cover_many_reports_each_tree_edge_once(self):
         graph, tree = _mst_instance(16, 3)
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         newly = fast.cover_many(range(fast.m_nt))
         assert sorted(newly) == sorted(set(newly))
         assert fast.all_covered()
         assert fast.uncovered_total() == 0
         assert fast.cover_many(range(fast.m_nt)) == []
 
-    def test_facade_matches_reference_state_step_by_step(self):
+    def test_kernel_matches_reference_state_step_by_step(self):
         graph, tree = _mst_instance(15, 4)
-        state = CoverageState(graph, tree)
+        fast = FastCoverage(graph, tree)
         oracle = CoverageStateNX(graph, tree)
-        assert state.tree_edges == oracle.tree_edges
-        assert state.non_tree_edges == oracle.non_tree_edges
-        for edge in state.non_tree_edges:
-            assert state.path(edge) == oracle.path(edge)
-            assert state.weight(edge) == oracle.weight(edge)
-        for edge in state.non_tree_edges[::2]:
-            assert state.cover_with(edge) == oracle.cover_with(edge)
-            assert state.uncovered_indices() == oracle.uncovered_indices()
-            assert state.covered_indices() == oracle.covered_indices()
-            for probe in state.non_tree_edges:
-                assert state.uncovered_count(probe) == oracle.uncovered_count(probe)
-                assert state.uncovered_on_path(probe) == oracle.uncovered_on_path(probe)
-        assert state.all_covered() == oracle.all_covered()
+        assert list(fast.tree_edges) == oracle.tree_edges
+        assert list(fast.nt_edges) == oracle.non_tree_edges
+        for j, edge in enumerate(fast.nt_edges):
+            assert frozenset(fast.path_indices(j)) == oracle.path(edge)
+            assert fast.nt_weight[j] == oracle.weight(edge)
+        for j in range(0, fast.m_nt, 2):
+            assert set(fast.cover(j)) == oracle.cover_with(fast.nt_edges[j])
+            assert fast.uncovered == oracle.uncovered_indices()
+            covered = {t for t in range(fast.n_tree) if fast.covered[t]}
+            assert covered == oracle.covered_indices()
+            for k, probe in enumerate(fast.nt_edges):
+                assert fast.nt_uncovered[k] == oracle.uncovered_count(probe)
+                assert (
+                    frozenset(fast.uncovered_path_indices(k))
+                    == oracle.uncovered_on_path(probe)
+                )
+        assert fast.all_covered() == oracle.all_covered()
 
     def test_zero_weight_ids(self):
         graph, tree = _mst_instance(12, 5)
         free = CoverageStateNX(graph, tree).non_tree_edges[0]
         graph[free[0]][free[1]]["weight"] = 0
-        fast = CoverageState(graph, tree).fast
+        fast = FastCoverage(graph, tree)
         assert fast.zero_weight_ids() == [fast.nt_index[free]]
 
     def test_verify_augmentation_parity(self):
         graph, tree = _mst_instance(14, 6)
-        state = CoverageState(graph, tree)
+        fast = FastCoverage(graph, tree)
         oracle = CoverageStateNX(graph, tree)
-        edges = state.non_tree_edges
+        edges = oracle.non_tree_edges
         for subset in (edges, edges[:1], edges[: len(edges) // 2]):
-            assert state.verify_augmentation(subset) == oracle.verify_augmentation(subset)
+            assert fast.covers_everything(
+                fast.nt_index[edge] for edge in subset
+            ) == oracle.verify_augmentation(subset)
 
 
 # ------------------------------------------------- engine-driven differential

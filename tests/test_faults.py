@@ -57,6 +57,8 @@ from repro.analysis.runner import TrialResult
 from repro.cli import _apply_cluster_options, build_parser, main as kecss_main
 from repro.store import StoreError, StoreWarning, TrialStore
 
+from _helpers import cli_error
+
 WAIT = 30.0
 
 
@@ -569,9 +571,12 @@ class TestHeartbeatConfiguration:
             ClusterBackend(workers=1, heartbeat_timeout=value)
 
     @pytest.mark.parametrize("flag", ["0", "-2.5"])
-    def test_cli_rejects_non_positive_heartbeat(self, flag):
-        with pytest.raises(SystemExit, match="heartbeat-timeout"):
-            kecss_main(["experiment", "e3", "--heartbeat-timeout", flag])
+    def test_cli_rejects_non_positive_heartbeat(self, flag, capsys):
+        code, message = cli_error(
+            ["experiment", "e3", "--heartbeat-timeout", flag], capsys
+        )
+        assert code == 2
+        assert message.startswith("--heartbeat-timeout must be > 0")
 
     def test_cli_flag_publishes_the_env_fallback(self, monkeypatch):
         monkeypatch.setenv(HEARTBEAT_ENV, "placeholder")  # restored on teardown
@@ -767,9 +772,10 @@ class TestStoreCliVerbs:
             ["store", "fsck", "--keep-last", "1", "--store-dir", "{d}"],
         ],
     )
-    def test_usage_errors(self, tmp_path, argv):
+    def test_usage_errors(self, tmp_path, argv, capsys):
         store_dir = tmp_path / "store"
         _ingest(TrialStore(store_dir))
         argv = [arg.format(d=store_dir) for arg in argv]
-        with pytest.raises(SystemExit):
-            kecss_main(argv)
+        code, message = cli_error(argv, capsys)
+        assert code == 2
+        assert "--keep-last" in message or "--repair" in message

@@ -16,18 +16,13 @@ from repro.core.augmentation import (
     compose_augmentations,
 )
 from repro.core.fastaug import BitsetCoverKernel
-from repro.core.k_ecss import (
-    _forest_filter,
-    _mst_filter,
-    augment_to_k,
-    augment_to_k_nx,
-    k_ecss,
-)
+from repro.core.k_ecss import _forest_filter, augment_to_k, k_ecss
 from repro.congest.metrics import RoundLedger
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.fastgraph import ArrayUnionFind
 from repro.graphs.generators import harary_graph, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
+from repro.oracles.k_ecss import _mst_filter, augment_to_k_nx
 
 
 class TestAugmentToK:

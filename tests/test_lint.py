@@ -170,7 +170,7 @@ class TestDet003TrialNondeterminism:
 
 # --------------------------------------------------------------------- DET004
 class TestDet004FloatInExactPath:
-    EXACT = "repro.tap.cover"  # a member of EXACT_MODULES
+    EXACT = "repro.tap.fastcover"  # a member of EXACT_MODULES
 
     def test_flags_float_literal_cast_and_inexact_math(self):
         sources = {

@@ -70,32 +70,20 @@ from repro.analysis.experiments import (
 )
 from repro.cli import main as kecss_main
 from repro.congest.cost_model import CostModel
-from repro.core.cost_effectiveness import INFINITE_EFFECTIVENESS
-from repro.core.fastaug import BitsetCoverKernel, PathLabelKernel
-from repro.core.k_ecss import (
-    _forest_filter,
-    _mst_filter,
-    _recompute_effectiveness_nx,
-    augment_to_k,
-)
-from repro.core.three_ecss import _score_round_nx, unweighted_two_ecss_2approx
+from repro.core.fastaug import INFINITE_EFFECTIVENESS, BitsetCoverKernel, PathLabelKernel
+from repro.core.k_ecss import _forest_filter, augment_to_k
+from repro.core.three_ecss import unweighted_two_ecss_2approx
 from repro.cycle_space.labels import compute_labels
-from repro.graphs.connectivity import (
-    bridges,
-    bridges_nx,
-    canonical_edge,
-    edge_connectivity_nx,
-    is_k_edge_connected,
-)
-from repro.graphs.cuts import (
-    enumerate_cut_pairs,
-    enumerate_cut_pairs_nx,
-    enumerate_cuts_of_size,
-)
+from repro.graphs.connectivity import bridges, canonical_edge, is_k_edge_connected
+from repro.graphs.cuts import enumerate_cut_pairs, enumerate_cuts_of_size
 from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter
 from repro.graphs.generators import clique_chain, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
-from repro.tap.distributed import distributed_tap, distributed_tap_nx
+from repro.oracles.graphs import bridges_nx, edge_connectivity_nx, enumerate_cut_pairs_nx
+from repro.oracles.k_ecss import _mst_filter, _recompute_effectiveness_nx
+from repro.oracles.tap import distributed_tap_nx
+from repro.oracles.three_ecss import _score_round_nx
+from repro.tap.distributed import distributed_tap
 from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 

@@ -35,6 +35,7 @@ from repro.store import (
     validate_run_manifest,
 )
 from repro.store.columns import build_column, decode_column, read_column, write_column
+from repro.store.regression import compare_tables_with_tolerance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -336,6 +337,21 @@ class TestRegression:
         code, lines = regress(store, "unit", tolerance=1e9)
         assert code == 1
         assert any("ratio" in line and "DRIFT" in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(float("nan"), float("nan")), (float("inf"), 1.0), (2**60, 2**60 + 1)],
+    )
+    def test_zero_tolerance_table_diff_flags_every_unequal_cell(self, old, new):
+        """At tolerance 0 the table diff is the bit-identical check of ``kecss
+        bench --against``: a NaN cell, inf against a finite value and integers
+        too large for a float to tell apart all count as drift."""
+        table = {"columns": ["x"], "rows": [[old]]}
+        assert compare_tables_with_tolerance(
+            table, {"columns": ["x"], "rows": [[new]]}, 0.0
+        )
+        same = {"columns": ["a", "b"], "rows": [[float("inf"), 2**60]]}
+        assert compare_tables_with_tolerance(same, same, 0.0) == []
 
     def test_regress_metric_set_mismatch_is_drift(self, tmp_path):
         store = TrialStore(tmp_path / "store")

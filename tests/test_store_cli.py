@@ -18,6 +18,8 @@ from repro.analysis.runner import derive_seed
 from repro.cli import main
 from repro.store import StoreWarning, TrialStore
 
+from _helpers import cli_error
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 E3_BASELINE = REPO_ROOT / "BENCH_e3.json"
 
@@ -63,13 +65,19 @@ class TestStoreImportAndLs:
         out = capsys.readouterr().out
         assert "run-000001-e3" in out and "run-000002-e9" in out
 
-    def test_import_requires_paths(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "import", "--store-dir", str(tmp_path / "s")])
+    def test_import_requires_paths(self, tmp_path, capsys):
+        code, message = cli_error(
+            ["store", "import", "--store-dir", str(tmp_path / "s")], capsys
+        )
+        assert code == 2
+        assert message == "store import needs at least one BENCH_*.json path"
 
-    def test_ls_of_missing_store_fails(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["store", "ls", "--store-dir", str(tmp_path / "nope")])
+    def test_ls_of_missing_store_fails(self, tmp_path, capsys):
+        code, message = cli_error(
+            ["store", "ls", "--store-dir", str(tmp_path / "nope")], capsys
+        )
+        assert code == 1
+        assert "nope" in message
 
     def test_store_dir_env_fallback(self, tmp_path, monkeypatch, capsys):
         store_dir = tmp_path / "env-store"
@@ -77,10 +85,13 @@ class TestStoreImportAndLs:
         assert main(["store", "import", str(E3_BASELINE)]) == 0
         assert TrialStore(store_dir, create=False).runs("e3")
 
-    def test_missing_store_dir_is_a_clear_error(self, monkeypatch):
+    def test_missing_store_dir_is_a_clear_error(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        with pytest.raises(SystemExit, match="store"):
-            main(["history", "e3"])
+        code, message = cli_error(["history", "e3"], capsys)
+        assert code == 2
+        assert message == (
+            "no trial store configured: pass --store-dir or set REPRO_STORE_DIR"
+        )
 
 
 class TestBenchStoreDir:
@@ -163,11 +174,15 @@ class TestHistoryAndRegress:
         assert "metric iterations by n" in out
         assert out.count("\n") > 4  # header + one row per distinct n
 
-    def test_history_by_without_metric_is_a_usage_error(self, tmp_path):
+    def test_history_by_without_metric_is_a_usage_error(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         self._populate(store_dir)
-        with pytest.raises(SystemExit, match="--by requires --metric"):
-            main(["history", "e3", "--store-dir", str(store_dir), "--by", "n"])
+        capsys.readouterr()
+        code, message = cli_error(
+            ["history", "e3", "--store-dir", str(store_dir), "--by", "n"], capsys
+        )
+        assert code == 2
+        assert message == "--by requires --metric (the metric to drill into)"
 
     def test_history_unknown_metric_lists_the_known_ones(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
@@ -244,3 +259,42 @@ class TestHistoryAndRegress:
         # Mean iterations moved by ~26%; a 50% tolerance accepts it.
         assert main(["regress", "e3", "--store-dir", str(store_dir),
                      "--tolerance", "0.5"]) == 0
+
+    def _populate_with_drift(self, store_dir):
+        """Two runs of e3 under different code versions; the second has one
+        table cell tripled."""
+        self._populate(store_dir)
+        payload = json.loads(E3_BASELINE.read_text())
+        row = payload["table"]["rows"][0]
+        column = next(
+            c for c, cell in enumerate(row)
+            if isinstance(cell, (int, float)) and not isinstance(cell, bool) and cell
+        )
+        row[column] *= 3
+        payload["provenance"]["code_version"] = "tampered-version"
+        from repro.store import import_baseline
+
+        import_baseline(TrialStore(store_dir), payload, source="tampered")
+
+    def test_regress_zero_tolerance_still_catches_drift(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        self._populate_with_drift(store_dir)
+        capsys.readouterr()
+        assert main(["regress", "e3", "--store-dir", str(store_dir),
+                     "--tolerance", "0"]) == 1
+        assert "drifted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--tolerance", "--duration-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_regress_rejects_non_finite_or_negative_tolerance(
+        self, tmp_path, capsys, flag, value
+    ):
+        store_dir = tmp_path / "store"
+        self._populate_with_drift(store_dir)
+        capsys.readouterr()
+        code, message = cli_error(
+            ["regress", "e3", "--store-dir", str(store_dir), flag, value], capsys
+        )
+        assert code == 2
+        assert message.startswith(f"{flag} must be a finite number >= 0")
+        assert capsys.readouterr().out == ""
