@@ -17,6 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
+
+import networkx as nx
+
+from repro.graphs.fastgraph import hop_diameter
 
 __all__ = ["CostModel"]
 
@@ -35,10 +40,15 @@ class CostModel:
 
     # Number of O(D + sqrt n) sub-phases in one TAP iteration (Section 3.1:
     # cost-effectiveness, global max of rho~, vote counting, coverage update).
-    TAP_SUBPHASES: int = 4
+    TAP_SUBPHASES: ClassVar[int] = 4
     # Number of O(D) sub-phases in one 3-ECSS iteration (Section 5.3: label
     # computation, n_phi upcast, cost-effectiveness exchange, termination check).
-    THREE_ECSS_SUBPHASES: int = 4
+    THREE_ECSS_SUBPHASES: ClassVar[int] = 4
+
+    @classmethod
+    def of(cls, graph: nx.Graph) -> "CostModel":
+        """The cost model of *graph*: ``D`` is its exact hop diameter."""
+        return cls(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
 
     # ------------------------------------------------------------ primitives
     @property

@@ -52,7 +52,9 @@ from repro.core.fastaug import BitsetCoverKernel, GuessingSchedule
 from repro.core.result import ECSSResult
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
 from repro.graphs.cuts import Cut, enumerate_cuts_of_size
-from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter
+# hop_diameter is unused here since CostModel.of computes D, but
+# perfbench/test_measure.py patches this caller-side binding to test tracing.
+from repro.graphs.fastgraph import ArrayUnionFind, hop_diameter  # noqa: F401
 from repro.mst.sequential import minimum_spanning_tree
 
 Edge = tuple[Hashable, Hashable]
@@ -85,7 +87,7 @@ def _level_setup(
 ) -> tuple[CostModel, RoundLedger, list[Cut], list[Edge], dict[Edge, int]]:
     """Shared preamble of one ``Aug_k`` level (broadcast + cut enumeration)."""
     if cost_model is None:
-        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+        cost_model = CostModel.of(graph)
     subgraph = build_subgraph(graph, current_edges)
     ledger = RoundLedger()
     ledger.add(
@@ -268,7 +270,7 @@ def _k_ecss_impl(
     if not is_k_edge_connected(graph, k):
         raise ValueError(f"the input graph is not {k}-edge-connected; k-ECSS is infeasible")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+    cost_model = CostModel.of(graph)
 
     def mst_solver(g: nx.Graph, current: frozenset[Edge], level: int) -> AugmentationResult:
         del current, level

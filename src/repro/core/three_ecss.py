@@ -36,7 +36,6 @@ from repro.core.fastaug import GuessingSchedule, PathLabelKernel
 from repro.core.result import ECSSResult
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
-from repro.graphs.fastgraph import hop_diameter
 from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
@@ -78,7 +77,7 @@ def unweighted_two_ecss_2approx(
     if not is_k_edge_connected(graph, 2):
         raise ValueError("the input graph is not 2-edge-connected")
     if cost_model is None:
-        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+        cost_model = CostModel.of(graph)
     tree = RootedTree.bfs_tree(graph, root=root)
     lca = LCAIndex(tree)
     tree_edges = tree.tree_edges()
@@ -122,8 +121,7 @@ def _setup(
     if not is_k_edge_connected(graph, 3):
         raise ValueError("the input graph is not 3-edge-connected; 3-ECSS is infeasible")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = graph.number_of_nodes()
-    cost_model = CostModel(n=n, diameter=hop_diameter(graph))
+    cost_model = CostModel.of(graph)
     ledger = RoundLedger()
 
     if simulate_bfs:
@@ -169,7 +167,6 @@ def _result(
 def three_ecss(
     graph: nx.Graph,
     seed: int | random.Random | None = None,
-    label_bits: int | None = None,
     exact_labels: bool = False,
     schedule_constant: int = 2,
     simulate_bfs: bool = False,
@@ -180,7 +177,6 @@ def three_ecss(
         graph: A 3-edge-connected graph (weights, if any, are ignored --
             the problem is the minimum *size* 3-ECSS).
         seed: Randomness for labels and candidate activation.
-        label_bits: Width of the cycle-space labels (default ``4 log n + 8``).
         exact_labels: Use deterministic covering-set labels instead of random
             ones (removes the 2^-b error; used by tests and the E7 ablation).
         schedule_constant: The ``M`` of the probability-doubling schedule.
@@ -216,8 +212,7 @@ def three_ecss(
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges | added)
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode,
-                                   seed=rng, lca=lca)
+        labelling = compute_labels(current, tree=tree, mode=mode, seed=rng, lca=lca)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),

@@ -20,7 +20,6 @@ from repro.congest.metrics import RoundLedger
 from repro.core.result import ECSSResult
 from repro.decomposition.segments import TreeDecomposition, build_decomposition
 from repro.graphs.connectivity import is_k_edge_connected
-from repro.graphs.fastgraph import hop_diameter
 from repro.mst.distributed import build_mst_with_fragments
 from repro.tap.distributed import TapResult, distributed_tap
 from repro.tap.fastcover import FastCoverage
@@ -48,7 +47,7 @@ def weighted_tap(
     once per instance instead of once per stage.
     """
     if cost_model is None:
-        cost_model = CostModel(n=graph.number_of_nodes(), diameter=hop_diameter(graph))
+        cost_model = CostModel.of(graph)
     segment_diameter = None
     coverage = None
     if decomposition is not None:

@@ -17,8 +17,8 @@ All kernels below are loops over those flat lists:
   characterisation of Claim 5.6 on integer arrays;
 * :meth:`FastGraph.components_without_edges` -- BFS that skips a few edge
   ids, used to verify candidate cuts without copying the graph;
-* :meth:`FastGraph.hop_diameter` / :meth:`FastGraph.eccentricity` -- BFS
-  sweeps on the CSR arrays;
+* :meth:`FastGraph.hop_diameter` -- bit-parallel BFS from every vertex at
+  once, one packed-int reach set per vertex;
 * :class:`ArrayUnionFind` -- path-compressed, size-united union-find over
   plain lists, shared by Kruskal and the Karger contraction pass;
 * :class:`TreePathIndex` -- Euler-tour LCA (sparse-table RMQ, O(1) per
@@ -285,66 +285,35 @@ class FastGraph:
         return min(indptr[v + 1] - indptr[v] for v in range(self.n))
 
     # -------------------------------------------------------------------- BFS
-    def bfs_levels(self, source: int) -> list[int]:
-        """Hop distance from *source* to every vertex (-1 when unreachable).
-
-        Level-synchronous frontier BFS: the inner loop iterates a CSR slice,
-        which is a flat C-level list walk.
-        """
-        dist = [-1] * self.n
-        dist[source] = 0
-        frontier = [source]
-        indptr, adj = self.indptr, self.adj
-        level = 0
-        while frontier:
-            level += 1
-            next_frontier: list[int] = []
-            for v in frontier:
-                for w in adj[indptr[v]:indptr[v + 1]]:
-                    if dist[w] < 0:
-                        dist[w] = level
-                        next_frontier.append(w)
-            frontier = next_frontier
-        return dist
-
-    def eccentricity(self, source: int) -> int:
-        """Maximum hop distance from *source*; raises on a disconnected graph."""
-        dist = self.bfs_levels(source)
-        furthest = max(dist)
-        if min(dist) < 0:
-            raise ValueError("graph is not connected; eccentricity is infinite")
-        return furthest
-
     def hop_diameter(self) -> int:
-        """The hop diameter (one BFS sweep per vertex); raises when disconnected.
+        """The exact hop diameter by bit-parallel BFS; raises when disconnected.
 
-        The CSR arrays are handed to ``scipy.sparse.csgraph`` verbatim when
-        scipy is available (C BFS per source); the pure-Python frontier sweep
-        is the fallback so the kernel stays dependency-light.
+        ``reach[v]`` packs the vertices within distance ``t`` of ``v`` into one
+        Python int; each step ORs in the neighbours' sets (the CSR slices, cut
+        once), so all ``n`` BFS runs advance together and ``D`` is the first
+        ``t`` at which every set is full.  That is at most ``D * 2m`` big-int
+        ORs of ``n`` bits, with no ``n x n`` distance matrix.
         """
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             raise ValueError("diameter of an empty graph is undefined")
-        if self.n == 1:
-            return 0
-        try:
-            import numpy as np
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import shortest_path
-        except ImportError:  # pragma: no cover - scipy ships with the repo deps
-            return max(self.eccentricity(v) for v in range(self.n))
-        matrix = csr_matrix(
-            (
-                np.ones(len(self.adj), dtype=np.int8),
-                np.asarray(self.adj, dtype=np.int64),
-                np.asarray(self.indptr, dtype=np.int64),
-            ),
-            shape=(self.n, self.n),
-        )
-        dist = shortest_path(matrix, method="D", unweighted=True)
-        furthest = dist.max()
-        if np.isinf(furthest):
-            raise ValueError("graph is not connected; eccentricity is infinite")
-        return int(furthest)
+        full = (1 << n) - 1
+        reach = [1 << v for v in range(n)]
+        indptr, adj = self.indptr, self.adj
+        neighbours = [adj[indptr[v]:indptr[v + 1]] for v in range(n)]
+        distance = 0
+        while any(bits != full for bits in reach):
+            grown: list[int] = []
+            for v, row in enumerate(neighbours):
+                bits = reach[v]
+                for w in row:
+                    bits |= reach[w]
+                grown.append(bits)
+            if grown == reach:
+                raise ValueError("graph is not connected; its diameter is infinite")
+            reach = grown
+            distance += 1
+        return distance
 
     def is_connected(self) -> bool:
         if self.n == 0:

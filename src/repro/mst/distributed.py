@@ -24,7 +24,6 @@ import networkx as nx
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
 from repro.congest.primitives import simulate_bfs_tree
-from repro.graphs.fastgraph import hop_diameter
 from repro.mst.fragments import FragmentDecomposition, decompose_tree_into_fragments
 from repro.mst.sequential import minimum_spanning_tree
 from repro.trees.rooted import RootedTree
@@ -39,14 +38,12 @@ class MstResult:
     Attributes:
         mst: The canonical MST, rooted at the minimum-id vertex.
         fragments: Fragment decomposition with cap ~ sqrt(n).
-        bfs_tree: The BFS tree of the communication graph (for broadcasts).
         diameter: Hop diameter of the communication graph.
         ledger: Round charges for this stage.
     """
 
     mst: RootedTree
     fragments: FragmentDecomposition
-    bfs_tree: RootedTree
     diameter: int
     ledger: RoundLedger
 
@@ -65,8 +62,8 @@ def build_mst_with_fragments(
         fragment_cap: Fragment size threshold; defaults to ``ceil(sqrt(n))``.
         simulate_bfs: When ``True`` (default) the BFS tree is built by actual
             message passing and its measured rounds recorded; when ``False``
-            the BFS tree is computed centrally and O(D) rounds are charged
-            (useful for very large experiment instances).
+            O(D) rounds are charged instead (useful for very large
+            experiment instances).
     """
     if graph.number_of_nodes() == 0:
         raise ValueError("cannot build an MST of an empty graph")
@@ -76,14 +73,12 @@ def build_mst_with_fragments(
         root = min(graph.nodes(), key=repr)
 
     ledger = RoundLedger()
-    diameter = hop_diameter(graph)
-    cost = CostModel(n=graph.number_of_nodes(), diameter=diameter)
+    cost = CostModel.of(graph)
 
     if simulate_bfs and graph.number_of_nodes() > 1:
-        bfs_tree, report = simulate_bfs_tree(graph, root=root)
+        _, report = simulate_bfs_tree(graph, root=root)
         ledger.add_report(report)
     else:
-        bfs_tree = RootedTree.bfs_tree(graph, root=root)
         ledger.add("bfs-tree", cost.bfs_rounds(), kind="modelled",
                    note="BFS construction charged at O(D)")
 
@@ -101,7 +96,6 @@ def build_mst_with_fragments(
     return MstResult(
         mst=mst,
         fragments=fragments,
-        bfs_tree=bfs_tree,
-        diameter=diameter,
+        diameter=cost.diameter,
         ledger=ledger,
     )

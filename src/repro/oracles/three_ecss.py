@@ -63,7 +63,6 @@ def _score_round_nx(
 def three_ecss_nx(
     graph: nx.Graph,
     seed: int | random.Random | None = None,
-    label_bits: int | None = None,
     exact_labels: bool = False,
     schedule_constant: int = 2,
     simulate_bfs: bool = False,
@@ -106,8 +105,7 @@ def three_ecss_nx(
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges | added)
-        labelling = compute_labels(current, tree=tree, bits=label_bits, mode=mode,
-                                   seed=rng, lca=lca)
+        labelling = compute_labels(current, tree=tree, mode=mode, seed=rng, lca=lca)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),

@@ -30,7 +30,6 @@ import networkx as nx
 
 from repro.congest.cost_model import CostModel
 from repro.congest.metrics import RoundLedger
-from repro.graphs.fastgraph import hop_diameter
 from repro.tap.fastcover import FastCoverage
 from repro.trees.rooted import RootedTree
 
@@ -80,7 +79,7 @@ def _resolve_run_parameters(
     the oracle)."""
     n = graph.number_of_nodes()
     if cost_model is None:
-        cost_model = CostModel(n=n, diameter=hop_diameter(graph))
+        cost_model = CostModel.of(graph)
     if segment_diameter is None:
         segment_diameter = cost_model.sqrt_n
     if max_iterations is None:

@@ -4,7 +4,8 @@ Two layers:
 
 * direct unit tests of :class:`repro.graphs.fastgraph.FastGraph` and
   :class:`~repro.graphs.fastgraph.ArrayUnionFind` on hand-built graphs
-  (converters, BFS, bridges, cut pairs, skip-edge components);
+  (converters, hop diameter, bridges, cut pairs, skip-edge components),
+  plus a fresh-interpreter check that a solve loads neither scipy nor numpy;
 * the seeded ``diff-fastgraph-*`` differential sweep, wired through the
   experiment engine: 50 instances of **every** registered generator family
   per kernel primitive, each asserting exact parity with the historical
@@ -13,6 +14,12 @@ Two layers:
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -27,6 +34,7 @@ from repro.graphs.generators import FAMILIES
 N_GRAPHS = 50
 SWEEP_BACKEND = "processes"
 SWEEP_WORKERS = 4
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------- unit tests
@@ -73,17 +81,16 @@ class TestFastGraphConversion:
 
 
 class TestFastGraphBfs:
-    def test_bfs_levels_match_networkx_shortest_paths(self):
-        graph = nx.random_regular_graph(3, 16, seed=4)
-        fast = FastGraph.from_nx(graph)
-        source = fast.index[0]
-        levels = fast.bfs_levels(source)
-        oracle = nx.single_source_shortest_path_length(graph, 0)
-        assert {fast.labels[v]: d for v, d in enumerate(levels)} == dict(oracle)
-
     def test_diameter_matches_networkx(self):
-        for graph in (nx.path_graph(9), nx.cycle_graph(10), nx.complete_graph(5)):
+        for graph in (nx.path_graph(9), nx.cycle_graph(10), nx.complete_graph(5),
+                      nx.path_graph(200), nx.path_graph(1)):
             assert hop_diameter(graph) == nx.diameter(graph)
+
+    @pytest.mark.parametrize("family", ["weighted-sparse", "powerlaw", "clique-chain"])
+    def test_diameter_matches_networkx_past_the_word_boundary(self, family):
+        # n = 1024 packs each reach set into many machine words.
+        graph = FAMILIES[family](1024, 1)
+        assert hop_diameter(graph) == nx.diameter(graph)
 
     def test_diameter_raises_on_disconnected_and_empty_graphs(self):
         with pytest.raises(ValueError):
@@ -105,6 +112,25 @@ class TestFastGraphBfs:
         )
         assert len(two) == 2
         assert sorted(len(side) for side in two) == [3, 3]
+
+
+def test_a_solve_loads_no_scipy_or_numpy():
+    script = (
+        "import json, sys\n"
+        "from repro.core import k_ecss, three_ecss, two_ecss\n"
+        "from repro.graphs.generators import FAMILIES\n"
+        "two_ecss(FAMILIES['weighted-sparse'](24, 1), seed=1)\n"
+        "k_ecss(FAMILIES['weighted-sparse'](24, 1), k=2, seed=1)\n"
+        "three_ecss(FAMILIES['hypercube'](16, 1), seed=1)\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('scipy', 'numpy'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    ).stdout
+    assert json.loads(out) == []
 
 
 class TestFastGraphBridges:

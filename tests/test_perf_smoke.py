@@ -242,7 +242,7 @@ def _tap_stage_speedup(n: int, seed: int) -> float:
     """
     graph = random_k_edge_connected_graph(n, 2, extra_edge_prob=3.0 / n, seed=seed)
     tree = RootedTree(minimum_spanning_tree(graph), root=min(graph.nodes(), key=repr))
-    cost_model = CostModel(n=n, diameter=hop_diameter(graph))
+    cost_model = CostModel.of(graph)
 
     fast = _best_of(lambda: distributed_tap(graph, tree, seed=7, cost_model=cost_model))
     oracle = _best_of(
