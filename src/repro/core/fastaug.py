@@ -6,9 +6,9 @@ to the same CSR/array style as :mod:`repro.tap.fastcover` (TAP coverage) and
 
 * :class:`PathLabelKernel` -- the per-iteration cost-effectiveness scoring of
   the 3-ECSS algorithm (Claim 5.8).  Candidate tree paths are materialised
-  once as CSR flat arrays over integer tree-edge ids (extracted with
-  :class:`repro.graphs.fastgraph.TreePathIndex` through the caller's
-  :class:`~repro.trees.lca.LCAIndex`); each iteration assigns dense integer
+  once as CSR flat arrays over integer tree-edge ids (extracted with the
+  :class:`repro.graphs.fastgraph.TreePathIndex` the BFS tree
+  :class:`~repro.trees.RootedTree` owns); each iteration assigns dense integer
   ids to the fresh labels, turns the tree-edge labels into one flat array,
   and scores every candidate with round-stamped count arrays -- no
   ``Counter`` is allocated per candidate per iteration, and the power-of-two
@@ -48,7 +48,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
+from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
 
@@ -162,8 +162,9 @@ class PathLabelKernel:
 
     Args:
         graph: The 3-edge-connected input graph ``G``.
-        lca: The :class:`LCAIndex` over the BFS tree ``T`` (the same index the
-            driver hands to :func:`repro.cycle_space.labels.compute_labels`).
+        tree: The BFS tree ``T`` (the same tree the solver hands to
+            :func:`repro.cycle_space.labels.compute_labels`, so both read
+            one cached path index).
         skip: Edges excluded from candidacy (the 2-ECSS subgraph ``H``).
 
     Attributes:
@@ -174,19 +175,19 @@ class PathLabelKernel:
             join ``A``; flagged candidates are skipped by the scorer).
 
     Tree edges are identified by the integer id of their child vertex in the
-    LCA index, so :meth:`score_round` never touches a hashable edge object
+    tree, so :meth:`score_round` never touches a hashable edge object
     inside the per-candidate loop.
     """
 
     __slots__ = (
-        "lca", "cand_edges", "cand_repr", "in_added",
+        "tree", "cand_edges", "cand_repr", "in_added",
         "path_indptr", "path_child", "n_vertices", "_touched",
     )
 
-    def __init__(self, graph: nx.Graph, lca: LCAIndex, skip: Iterable[Edge]) -> None:
-        self.lca = lca
+    def __init__(self, graph: nx.Graph, tree: RootedTree, skip: Iterable[Edge]) -> None:
+        self.tree = tree
         skip_set = set(skip)
-        index_of, paths = lca.index, lca.paths
+        index_of, paths = tree.index, tree.paths
         cand_edges: list[Edge] = []
         path_indptr = [0]
         path_child: list[int] = []
@@ -204,7 +205,7 @@ class PathLabelKernel:
         self.in_added = bytearray(len(cand_edges))
         self.path_indptr = path_indptr
         self.path_child = path_child
-        self.n_vertices = len(lca.nodes)
+        self.n_vertices = tree.number_of_nodes()
         self._touched = [0] * max(1, longest)
 
     @property
@@ -255,7 +256,7 @@ class PathLabelKernel:
         # the Claim 5.10 termination condition on the way.
         tlabel = [0] * self.n_vertices
         tree_in_pairs = 0
-        for vid, edge in enumerate(self.lca.parent_edges):
+        for vid, edge in enumerate(self.tree.parent_edges):
             if edge is None:
                 continue
             lid = ids[labels[edge]]

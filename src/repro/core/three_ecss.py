@@ -36,7 +36,6 @@ from repro.core.fastaug import GuessingSchedule, PathLabelKernel
 from repro.core.result import ECSSResult
 from repro.cycle_space.labels import compute_labels
 from repro.graphs.connectivity import canonical_edge, is_k_edge_connected
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -79,7 +78,6 @@ def unweighted_two_ecss_2approx(
     if cost_model is None:
         cost_model = CostModel.of(graph)
     tree = RootedTree.bfs_tree(graph, root=root)
-    lca = LCAIndex(tree)
     tree_edges = tree.tree_edges()
     tree_edge_set = set(tree_edges)
 
@@ -88,7 +86,7 @@ def unweighted_two_ecss_2approx(
         edge = canonical_edge(u, v)
         if edge in tree_edge_set:
             continue
-        paths[edge] = frozenset(lca.tree_path_edges(u, v))
+        paths[edge] = frozenset(tree.tree_path_edges(u, v))
 
     chosen: set[Edge] = set(tree_edge_set)
     covered: set[Edge] = set()
@@ -116,7 +114,7 @@ def _setup(
     graph: nx.Graph,
     seed: int | random.Random | None,
     simulate_bfs: bool,
-) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree, LCAIndex]:
+) -> tuple[random.Random, CostModel, RoundLedger, set[Edge], RootedTree]:
     """Validation and the 2-approximate ``H`` (shared with the oracle)."""
     if not is_k_edge_connected(graph, 3):
         raise ValueError("the input graph is not 3-edge-connected; 3-ECSS is infeasible")
@@ -132,7 +130,7 @@ def _setup(
 
     h_edges, tree, h_ledger = unweighted_two_ecss_2approx(graph, cost_model=cost_model)
     ledger.extend(h_ledger)
-    return rng, cost_model, ledger, h_edges, tree, LCAIndex(tree)
+    return rng, cost_model, ledger, h_edges, tree
 
 
 def _result(
@@ -187,8 +185,8 @@ def three_ecss(
         edges because the problem is unweighted.  Bit-identical to
         :func:`repro.oracles.three_ecss.three_ecss_nx` for the same arguments.
     """
-    rng, cost_model, ledger, h_edges, tree, lca = _setup(graph, seed, simulate_bfs)
-    kernel = PathLabelKernel(graph, lca, skip=h_edges)
+    rng, cost_model, ledger, h_edges, tree = _setup(graph, seed, simulate_bfs)
+    kernel = PathLabelKernel(graph, tree, skip=h_edges)
     cand_repr = kernel.cand_repr
 
     added: set[Edge] = set()
@@ -212,7 +210,7 @@ def three_ecss(
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges | added)
-        labelling = compute_labels(current, tree=tree, mode=mode, seed=rng, lca=lca)
+        labelling = compute_labels(current, tree=tree, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),

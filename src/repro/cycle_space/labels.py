@@ -21,8 +21,8 @@ the label of tree edge ``(v, p(v))`` is the subtree XOR at ``v``, because the
 tags of a non-tree edge with both endpoints inside the subtree cancel.  This
 is exactly the single convergecast the distributed implementation performs
 (Theorem 4.2 of [32]).  Exact-mode covering sets are materialised over the
-flat-array path extractor.  The reference implementation is
-:mod:`repro.oracles.cycle_space`.
+tree's cached flat-array path index (``RootedTree.paths``).  The reference
+implementation is :mod:`repro.oracles.cycle_space`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Hashable
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -67,7 +66,6 @@ class EdgeLabelling:
         bits: int,
         mode: str,
         tree_paths: dict[Edge, frozenset[Edge]] | None = None,
-        lca: LCAIndex | None = None,
     ) -> None:
         self.graph = graph
         self.tree = tree
@@ -75,7 +73,6 @@ class EdgeLabelling:
         self.bits = bits
         self.mode = mode
         self._tree_paths = tree_paths
-        self._lca = lca
 
     def label(self, u: Hashable, v: Hashable) -> Label:
         """Return ``phi({u, v})``."""
@@ -92,19 +89,13 @@ class EdgeLabelling:
             if canonical_edge(u, v) not in tree_edges
         ]
 
-    def lca_index(self) -> LCAIndex:
-        """A (cached) LCA index over the labelling's tree."""
-        if self._lca is None:
-            self._lca = LCAIndex(self.tree)
-        return self._lca
-
     @property
     def tree_paths(self) -> dict[Edge, frozenset[Edge]]:
         """Map from non-tree edge to the tree edges it covers (lazy)."""
         if self._tree_paths is None:
-            lca = self.lca_index()
+            tree = self.tree
             self._tree_paths = {
-                edge: frozenset(lca.tree_path_edges(*edge))
+                edge: frozenset(tree.tree_path_edges(*edge))
                 for edge in self.non_tree_edges()
             }
         return self._tree_paths
@@ -145,7 +136,6 @@ def compute_labels(
     bits: int | None = None,
     mode: str = "random",
     seed: int | random.Random | None = None,
-    lca: LCAIndex | None = None,
 ) -> EdgeLabelling:
     """Compute the cycle-space labelling of a connected graph.
 
@@ -157,9 +147,6 @@ def compute_labels(
             union bound of Lemma 5.4 leaves polynomially small error.
         mode: ``"random"`` (paper) or ``"exact"`` (covering-set labels).
         seed: Randomness for the random mode.
-        lca: Optional pre-built LCA index over *tree* (reused by the 3-ECSS
-            driver across iterations; only exact mode and the lazy
-            ``tree_paths`` need it).
 
     In the distributed implementation the tree-edge labels are produced by a
     single leaves-to-root scan of the BFS tree (Theorem 4.2 of [32], O(D)
@@ -179,7 +166,7 @@ def compute_labels(
         # non-tree edges with an odd number of endpoints in the subtree of v,
         # so its label is the subtree XOR of the tags (Theorem 4.2 of [32]).
         order = tree.bfs_order()
-        index = {node: i for i, node in enumerate(order)}
+        index = tree.index
         tags = [0] * len(order)
         for edge in non_tree_edges:
             label = labels[edge]
@@ -193,16 +180,12 @@ def compute_labels(
             parent = tree.parent(node)
             labels[canonical_edge(node, parent)] = tags[i]
             tags[index[parent]] ^= tags[i]
-        return EdgeLabelling(
-            graph=graph, tree=tree, labels=labels, bits=bits, mode=mode, lca=lca
-        )
+        return EdgeLabelling(graph=graph, tree=tree, labels=labels, bits=bits, mode=mode)
 
     # Exact mode: the label of a tree edge is its covering set, materialised
-    # per child vertex over the integer-array path extractor.
-    if lca is None:
-        lca = LCAIndex(tree)
-    index_of, paths = lca.index, lca.paths
-    covering: list[set[Edge]] = [set() for _ in range(len(lca.nodes))]
+    # per child vertex over the tree's integer-array path index.
+    index_of, paths, parent_edges = tree.index, tree.paths, tree.parent_edges
+    covering: list[set[Edge]] = [set() for _ in parent_edges]
     tree_paths: dict[Edge, frozenset[Edge]] = {}
     for edge in non_tree_edges:
         labels[edge] = frozenset({edge})
@@ -210,13 +193,11 @@ def compute_labels(
         children = paths.path_edges(index_of[u], index_of[v])
         for child in children:
             covering[child].add(edge)
-        tree_paths[edge] = frozenset(
-            lca.parent_edges[child] for child in children
-        )
-    for child, tree_edge in enumerate(lca.parent_edges):
+        tree_paths[edge] = frozenset(parent_edges[child] for child in children)
+    for child, tree_edge in enumerate(parent_edges):
         if tree_edge is not None:
             labels[tree_edge] = frozenset(covering[child])
     return EdgeLabelling(
         graph=graph, tree=tree, labels=labels, bits=0, mode=mode,
-        tree_paths=tree_paths, lca=lca,
+        tree_paths=tree_paths,
     )

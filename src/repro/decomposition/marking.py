@@ -16,57 +16,32 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from repro.mst.fragments import FragmentDecomposition
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 __all__ = ["mark_vertices", "lca_closure"]
 
 
-def _euler_entry_order(tree: RootedTree) -> dict[Hashable, int]:
-    """Return DFS entry times (children visited in a fixed order)."""
-    order: dict[Hashable, int] = {}
-    counter = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        order[node] = counter
-        counter += 1
-        # Reverse so that children are visited in their natural order.
-        for child in reversed(tree.children(node)):
-            stack.append(child)
-    return order
-
-
-def lca_closure(
-    tree: RootedTree,
-    vertices: Iterable[Hashable],
-    lca_index: LCAIndex | None = None,
-) -> set[Hashable]:
+def lca_closure(tree: RootedTree, vertices: Iterable[Hashable]) -> set[Hashable]:
     """Return the closure of *vertices* under pairwise LCA.
 
-    Standard fact: sorting the vertices by DFS entry time and adding the LCA
-    of every pair of consecutive vertices already yields the full closure, so
-    the closure adds at most ``len(vertices) - 1`` new vertices (this is how
+    Standard fact: sorting the vertices by DFS entry time (here the Euler
+    first occurrence of the tree's path index) and adding the LCA of every
+    pair of consecutive vertices already yields the full closure, so the
+    closure adds at most ``len(vertices) - 1`` new vertices (this is how
     Lemma 3.4(3) keeps the marked set at O(sqrt n)).
     """
     vertex_list = list(dict.fromkeys(vertices))
     if not vertex_list:
         return set()
-    if lca_index is None:
-        lca_index = LCAIndex(tree)
-    entry = _euler_entry_order(tree)
-    ordered = sorted(vertex_list, key=lambda v: entry[v])
+    first, index = tree.paths.first, tree.index
+    ordered = sorted(vertex_list, key=lambda v: first[index[v]])
     closed = set(ordered)
     for left, right in zip(ordered, ordered[1:]):
-        closed.add(lca_index.lca(left, right))
+        closed.add(tree.lca(left, right))
     return closed
 
 
-def mark_vertices(
-    mst: RootedTree,
-    fragments: FragmentDecomposition,
-    lca_index: LCAIndex | None = None,
-) -> set[Hashable]:
+def mark_vertices(mst: RootedTree, fragments: FragmentDecomposition) -> set[Hashable]:
     """Return the marked vertex set of the decomposition (Section 3.2 (II)).
 
     Marked vertices are the endpoints of global edges (MST edges between two
@@ -76,4 +51,4 @@ def mark_vertices(
     for u, v in fragments.global_edges():
         marked.add(u)
         marked.add(v)
-    return lca_closure(mst, marked, lca_index=lca_index)
+    return lca_closure(mst, marked)

@@ -23,8 +23,9 @@ All kernels below are loops over those flat lists:
   plain lists, shared by Kruskal and the Karger contraction pass;
 * :class:`TreePathIndex` -- Euler-tour LCA (sparse-table RMQ, O(1) per
   query) plus ancestor-array tree-path extraction over integer parent/depth
-  arrays, the extractor under ``LCAIndex.tree_path_edges`` and the TAP
-  coverage kernel (:mod:`repro.tap.fastcover`).
+  arrays, the path index a :class:`repro.trees.RootedTree` builds for its
+  ``lca`` / ``tree_path_edges`` queries and the coverage and labelling
+  kernels.
 
 ``from_nx`` / ``to_nx`` converters preserve node labels (``labels[i]`` is the
 original label of vertex ``i``), so the kernel slots under the existing
@@ -52,9 +53,13 @@ class TreePathIndex:
     returns the path as the *child endpoints* of its tree edges, so callers
     that key tree edges by their child vertex (every solver kernel does)
     never touch a hashable edge object.
+
+    ``first[v]`` is the position of *v*'s first occurrence in the Euler
+    tour; children are visited in increasing id order, so sorting by it is
+    a DFS preorder.
     """
 
-    __slots__ = ("n", "parent", "depth", "root", "_first", "_table", "_logs")
+    __slots__ = ("n", "parent", "depth", "root", "first", "_table", "_logs")
 
     def __init__(self, parent: Sequence[int], depth: Sequence[int]) -> None:
         self.parent = list(parent)
@@ -98,7 +103,7 @@ class TreePathIndex:
                 stack_ci.pop()
                 if stack_v:
                     euler.append(stack_v[-1])
-        self._first = first
+        self.first = first
 
         # Sparse table for range-minimum (by depth) over the tour.
         m = len(euler)
@@ -122,7 +127,7 @@ class TreePathIndex:
 
     def lca(self, u: int, v: int) -> int:
         """The lowest common ancestor of vertices *u* and *v*."""
-        left, right = self._first[u], self._first[v]
+        left, right = self.first[u], self.first[v]
         if left > right:
             left, right = right, left
         level = self._logs[right - left + 1]
@@ -137,8 +142,8 @@ class TreePathIndex:
     def path_edges(self, u: int, v: int) -> list[int]:
         """Tree edges on the ``u``-``v`` path, as child-endpoint vertex ids.
 
-        The order matches the historical ``LCAIndex.tree_path_edges``: first
-        the edges climbing from *u* to the LCA, then those climbing from *v*.
+        The order is that of ``RootedTree.tree_path_edges``: first the edges
+        climbing from *u* to the LCA, then those climbing from *v*.
         """
         if u == v:
             return []

@@ -198,11 +198,6 @@ class ProjectContext:
     modules: dict[str, ModuleContext]
     root: Path | None = None
 
-    def is_project_package(self, name: str) -> bool:
-        """True when *name* is a package (has submodules in this project)."""
-        prefix = name + "."
-        return any(other.startswith(prefix) for other in self.modules)
-
     def resolve_import(self, binding: ImportBinding) -> str | None:
         """The project module *binding* depends on, or ``None`` if external.
 

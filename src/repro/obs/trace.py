@@ -36,7 +36,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "TRACE_ENV",
@@ -378,12 +378,3 @@ class collecting:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _thread_override.tracer = self._previous
-
-
-def iter_trace_lines(path: str | Path) -> Iterator[str]:
-    """Yield the non-empty lines of a trace file (shared by the timeline)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield line

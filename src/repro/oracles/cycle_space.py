@@ -8,7 +8,6 @@ from typing import Hashable
 import networkx as nx
 
 from repro.cycle_space.labels import EdgeLabelling, Label, _prepare
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -22,7 +21,6 @@ def compute_labels_nx(
     bits: int | None = None,
     mode: str = "random",
     seed: int | random.Random | None = None,
-    lca: LCAIndex | None = None,
 ) -> EdgeLabelling:
     """The historical per-path accumulation (reference oracle).
 
@@ -33,14 +31,12 @@ def compute_labels_nx(
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     tree, bits, non_tree_edges = _prepare(graph, tree, bits, mode)
-    if lca is None:
-        lca = LCAIndex(tree)
     tree_edge_set = set(tree.tree_edges())
 
     labels: dict[Edge, Label] = {}
     tree_paths: dict[Edge, frozenset[Edge]] = {}
     for edge in non_tree_edges:
-        tree_paths[edge] = frozenset(lca.tree_path_edges(*edge))
+        tree_paths[edge] = frozenset(tree.tree_path_edges(*edge))
 
     if mode == "random":
         for edge in non_tree_edges:
@@ -63,5 +59,5 @@ def compute_labels_nx(
 
     return EdgeLabelling(
         graph=graph, tree=tree, labels=labels, bits=bits, mode=mode,
-        tree_paths=tree_paths, lca=lca,
+        tree_paths=tree_paths,
     )

@@ -20,7 +20,6 @@ from repro.graphs.connectivity import canonical_edge
 from repro.oracles.cost_effectiveness import cost_effectiveness, rounded_cost_effectiveness
 from repro.tap.distributed import TapIterationStats, TapResult, _resolve_run_parameters
 from repro.tap.greedy import GreedyTapResult
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -36,10 +35,9 @@ class CoverageStateNX:
     behaviour the flat-array kernel must reproduce bit-identically.
     """
 
-    def __init__(self, graph: nx.Graph, tree: RootedTree, lca: LCAIndex | None = None) -> None:
+    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
         self.graph = graph
         self.tree = tree
-        self.lca = lca if lca is not None else LCAIndex(tree)
 
         self._tree_edges: list[Edge] = sorted(tree.tree_edges(), key=repr)
         self._tree_edge_index: dict[Edge, int] = {
@@ -56,7 +54,7 @@ class CoverageStateNX:
                 continue
             path = frozenset(
                 self._tree_edge_index[canonical_edge(a, b)]
-                for a, b in self.lca.tree_path_edges(u, v)
+                for a, b in tree.tree_path_edges(u, v)
             )
             self._paths[edge] = path
             self._weights[edge] = data.get("weight", 1)

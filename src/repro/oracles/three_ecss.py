@@ -73,7 +73,7 @@ def three_ecss_nx(
     iteration rebuilds label counts with :class:`collections.Counter` per
     candidate path and compares exact :class:`~fractions.Fraction` values.
     """
-    rng, cost_model, ledger, h_edges, tree, lca = _setup(graph, seed, simulate_bfs)
+    rng, cost_model, ledger, h_edges, tree = _setup(graph, seed, simulate_bfs)
     tree_edge_set = set(tree.tree_edges())
 
     # Pre-compute the tree path of every potential candidate edge.
@@ -82,7 +82,7 @@ def three_ecss_nx(
         edge = canonical_edge(u, v)
         if edge in h_edges:
             continue
-        candidate_paths[edge] = [canonical_edge(a, b) for a, b in lca.tree_path_edges(u, v)]
+        candidate_paths[edge] = [canonical_edge(a, b) for a, b in tree.tree_path_edges(u, v)]
 
     added: set[Edge] = set()
     history: list[ThreeEcssIterationStats] = []
@@ -105,7 +105,7 @@ def three_ecss_nx(
         current = nx.Graph()
         current.add_nodes_from(graph.nodes())
         current.add_edges_from(h_edges | added)
-        labelling = compute_labels(current, tree=tree, mode=mode, seed=rng, lca=lca)
+        labelling = compute_labels(current, tree=tree, mode=mode, seed=rng)
         ledger.add(
             "3ecss-iteration",
             cost_model.three_ecss_iteration_rounds(),

@@ -97,7 +97,6 @@ def distributed_tap(
     cost_model: CostModel | None = None,
     symmetry_breaking: bool = True,
     max_iterations: int | None = None,
-    coverage: FastCoverage | None = None,
 ) -> TapResult:
     """Run the distributed weighted-TAP algorithm on ``(graph, tree)``.
 
@@ -113,8 +112,6 @@ def distributed_tap(
             candidate with maximum rounded cost-effectiveness is added
             (the naive parallelisation the paper argues against; ablation E9).
         max_iterations: Safety bound; defaults to ``64 * log(n)^2 + 64``.
-        coverage: Optional pre-built :class:`FastCoverage` (reused by callers
-            that already computed the tree paths, e.g. the 2-ECSS driver).
 
     Returns:
         A :class:`TapResult`; ``augmentation ∪ T`` is guaranteed to be
@@ -126,7 +123,7 @@ def distributed_tap(
         graph, cost_model, segment_diameter, max_iterations
     )
 
-    fast = coverage if coverage is not None else FastCoverage(graph, tree)
+    fast = FastCoverage(graph, tree)
     ledger = RoundLedger()
     history: list[TapIterationStats] = []
 

@@ -18,8 +18,8 @@ integer tree-edge ids:
 Tree-edge ids number the tree edges sorted by ``repr``, the index space of
 the reference :class:`repro.oracles.tap.CoverageStateNX`, so kernel and
 oracle agree on indices.  Paths are extracted
-with :class:`repro.graphs.fastgraph.TreePathIndex` via the
-:class:`~repro.trees.lca.LCAIndex` arrays, never through per-edge hashable
+with the :class:`repro.graphs.fastgraph.TreePathIndex` the
+:class:`~repro.trees.RootedTree` owns, never through per-edge hashable
 path objects.
 
 :meth:`FastCoverage.voting_round` implements Lines 3-5 of the paper's
@@ -36,7 +36,6 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 Edge = tuple[Hashable, Hashable]
@@ -49,9 +48,8 @@ class FastCoverage:
 
     Args:
         graph: The weighted 2-edge-connected graph ``G``.
-        tree: The spanning tree ``T`` to augment (typically the MST).
-        lca: Optional pre-built :class:`LCAIndex` over *tree* (the 2-ECSS
-            driver reuses the decomposition's index).
+        tree: The spanning tree ``T`` to augment (typically the MST); its
+            cached path index is shared with the segment decomposition.
 
     Attributes:
         tree_edges: Tree-edge id -> canonical edge (sorted by ``repr``).
@@ -66,17 +64,14 @@ class FastCoverage:
     """
 
     __slots__ = (
-        "lca", "tree_edges", "tree_edge_index", "n_tree",
+        "tree_edges", "tree_edge_index", "n_tree",
         "nt_edges", "nt_index", "nt_weight", "nt_repr",
         "path_indptr", "path_tree", "cover_indptr", "cover_nt",
         "covered", "uncovered", "nt_uncovered",
         "_vote_owner", "_vote_stamp", "_round",
     )
 
-    def __init__(
-        self, graph: nx.Graph, tree: RootedTree, lca: LCAIndex | None = None
-    ) -> None:
-        self.lca = lca if lca is not None else LCAIndex(tree)
+    def __init__(self, graph: nx.Graph, tree: RootedTree) -> None:
         self.tree_edges: list[Edge] = sorted(tree.tree_edges(), key=repr)
         self.tree_edge_index: dict[Edge, int] = {
             edge: index for index, edge in enumerate(self.tree_edges)
@@ -84,13 +79,13 @@ class FastCoverage:
         self.n_tree = len(self.tree_edges)
 
         # Tree edge id of the parent edge of each vertex id (-1 for the root).
-        index_of = self.lca.index
-        child_tid = [-1] * len(self.lca.nodes)
-        for vid, edge in enumerate(self.lca.parent_edges):
+        index_of = tree.index
+        child_tid = [-1] * tree.number_of_nodes()
+        for vid, edge in enumerate(tree.parent_edges):
             if edge is not None:
                 child_tid[vid] = self.tree_edge_index[edge]
 
-        paths = self.lca.paths
+        paths = tree.paths
         tree_edge_set = set(self.tree_edges)
         nt_edges: list[Edge] = []
         nt_weight: list[int] = []

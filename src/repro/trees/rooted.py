@@ -1,12 +1,15 @@
-"""A rooted spanning tree with parent pointers, depths and traversal helpers."""
+"""A rooted spanning tree with parent pointers, depths, traversal helpers and
+an integer-array path index."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator
 
 import networkx as nx
 
 from repro.graphs.connectivity import canonical_edge
+from repro.graphs.fastgraph import TreePathIndex
 
 Edge = tuple[Hashable, Hashable]
 
@@ -20,6 +23,12 @@ class RootedTree:
     algorithms use throughout: parent pointers ``p(v)``, depths, subtree
     membership, the canonical tree-edge identifier ``(child, parent)``, and the
     BFS/DFS orders used for convergecasts.
+
+    Every vertex also has an integer id, its position in :meth:`bfs_order`
+    (the root is 0).  The id arrays -- :attr:`index`, :attr:`parent_edges`
+    and the Euler-tour :attr:`paths` index behind :meth:`lca` and
+    :meth:`tree_path_edges` -- are built on first use and cached, so every
+    kernel working on the same tree shares one index.
 
     Args:
         tree: A connected acyclic graph (a tree).
@@ -93,10 +102,6 @@ class RootedTree:
             raise ValueError("the root has no parent edge")
         return canonical_edge(node, parent)
 
-    def is_tree_edge(self, u: Hashable, v: Hashable) -> bool:
-        """Return ``True`` iff ``{u, v}`` is an edge of the tree."""
-        return self._tree.has_edge(u, v)
-
     def deeper_endpoint(self, edge: Edge) -> Hashable:
         """Return the endpoint of a tree *edge* farther from the root (the child)."""
         u, v = edge
@@ -161,6 +166,45 @@ class RootedTree:
             current = self._parent[current]
             vertices.append(current)
         return vertices
+
+    # ------------------------------------------------------------ path index
+    @cached_property
+    def index(self) -> dict[Hashable, int]:
+        """Vertex -> integer id (its position in :meth:`bfs_order`)."""
+        return {node: i for i, node in enumerate(self._bfs_order)}
+
+    @cached_property
+    def parent_edges(self) -> list[Edge | None]:
+        """Vertex id -> canonical tree edge to its parent (``None`` for the root)."""
+        parent = self._parent
+        return [None] + [canonical_edge(node, parent[node]) for node in self._bfs_order[1:]]
+
+    @cached_property
+    def paths(self) -> TreePathIndex:
+        """The integer-array :class:`TreePathIndex` over the vertex ids.
+
+        Building it is ``O(n log n)``; ``lca`` is ``O(1)`` and path
+        extraction ``O(|path|)`` per query.  Kernels that speak vertex ids
+        (the TAP coverage kernel, the labelling kernel) use it directly.
+        """
+        index, parent = self.index, self._parent
+        order = self._bfs_order
+        parent_ids = [-1] + [index[parent[node]] for node in order[1:]]
+        return TreePathIndex(parent_ids, [self._depth[node] for node in order])
+
+    def lca(self, u: Hashable, v: Hashable) -> Hashable:
+        """Return the lowest common ancestor of *u* and *v*."""
+        return self._bfs_order[self.paths.lca(self.index[u], self.index[v])]
+
+    def tree_path_edges(self, u: Hashable, v: Hashable) -> list[Edge]:
+        """Return the tree edges on the unique path between *u* and *v*.
+
+        This is the set ``S_e`` of cuts of size 1 covered by the non-tree edge
+        ``e = {u, v}`` in the weighted-TAP algorithm.  The order is fixed:
+        edges from *u* up to the LCA first, then edges from *v* up to the LCA.
+        """
+        parent_edges, index = self.parent_edges, self.index
+        return [parent_edges[child] for child in self.paths.path_edges(index[u], index[v])]
 
     # ----------------------------------------------------------- construction
     @staticmethod

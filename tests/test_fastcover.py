@@ -5,7 +5,7 @@ Three layers:
 * direct unit tests of :class:`repro.graphs.fastgraph.TreePathIndex` (the
   Euler-tour LCA / path extractor) against brute-force parent walks;
 * direct unit tests of :class:`repro.tap.fastcover.FastCoverage` -- CSR path
-  parity with ``LCAIndex.tree_path_edges``, incremental ``|C_e|`` counters
+  parity with ``RootedTree.tree_path_edges``, incremental ``|C_e|`` counters
   vs recomputation, the transposed covering lists, and the voting round vs
   the historical set-based implementation;
 * the seeded ``diff-tap-*`` / ``diff-labels-*`` differential sweep, wired
@@ -30,7 +30,6 @@ from repro.graphs.generators import FAMILIES, random_k_edge_connected_graph
 from repro.mst.sequential import minimum_spanning_tree
 from repro.oracles.tap import CoverageStateNX
 from repro.tap.fastcover import FastCoverage
-from repro.trees.lca import LCAIndex
 from repro.trees.rooted import RootedTree
 
 N_GRAPHS = 50
@@ -99,30 +98,31 @@ class TestTreePathIndex:
         with pytest.raises(ValueError):
             TreePathIndex([0, 0], [0, 1])  # no root
 
-    def test_matches_lca_index_on_random_trees(self):
+    def test_matches_rooted_tree_on_random_trees(self):
         for seed in range(4):
             graph = random_k_edge_connected_graph(30, 2, extra_edge_prob=0.2, seed=seed)
             tree = RootedTree(minimum_spanning_tree(graph), root=min(graph.nodes()))
-            lca = LCAIndex(tree)
+            index, paths = tree.index, tree.paths
             rng = random.Random(seed)
             nodes = list(tree.nodes())
             for _ in range(40):
                 u, v = rng.choice(nodes), rng.choice(nodes)
-                assert lca.lca(u, v) == lca.nodes[
-                    lca.paths.lca(lca.index[u], lca.index[v])
-                ]
-                assert lca.distance(u, v) == len(lca.tree_path_edges(u, v))
+                ancestor = tree.lca(u, v)
+                assert tree.is_ancestor(ancestor, u) and tree.is_ancestor(ancestor, v)
+                assert paths.lca(index[u], index[v]) == index[ancestor]
+                assert paths.distance(index[u], index[v]) == len(
+                    tree.tree_path_edges(u, v)
+                )
 
 
 # ----------------------------------------------------------------- FastCoverage
 class TestFastCoverage:
-    def test_paths_match_lca_index(self):
+    def test_paths_match_rooted_tree_paths(self):
         graph, tree = _mst_instance(16, 0)
         fast = FastCoverage(graph, tree)
-        lca = LCAIndex(tree)
         for j, edge in enumerate(fast.nt_edges):
             expected = {
-                fast.tree_edge_index[e] for e in lca.tree_path_edges(*edge)
+                fast.tree_edge_index[e] for e in tree.tree_path_edges(*edge)
             }
             assert set(fast.path_indices(j)) == expected
             assert fast.path_indptr[j + 1] - fast.path_indptr[j] == len(expected)

@@ -1,4 +1,4 @@
-"""Tests for RootedTree and the LCA index."""
+"""Tests for RootedTree, including its cached LCA / tree-path index."""
 
 from __future__ import annotations
 
@@ -8,7 +8,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trees.lca import LCAIndex
+from repro.core.three_ecss import three_ecss
+from repro.core.two_ecss import two_ecss
+from repro.graphs.fastgraph import TreePathIndex
+from repro.graphs.generators import make_family
 from repro.trees.rooted import RootedTree
 
 from _helpers import random_tree
@@ -115,22 +118,19 @@ class TestRootedTreeQueries:
         assert tree.depth(0) == 2
 
 
-class TestLCAIndex:
+class TestRootedTreePathIndex:
     def test_path_tree_lca_is_shallower_vertex(self, path_tree):
-        lca = LCAIndex(path_tree)
-        assert lca.lca(3, 8) == 3
-        assert lca.lca(8, 3) == 3
-        assert lca.lca(5, 5) == 5
+        assert path_tree.lca(3, 8) == 3
+        assert path_tree.lca(8, 3) == 3
+        assert path_tree.lca(5, 5) == 5
 
     def test_star_tree_lca_is_centre(self, star_tree):
-        lca = LCAIndex(star_tree)
-        assert lca.lca(3, 7) == 0
-        assert lca.lca(0, 7) == 0
+        assert star_tree.lca(3, 7) == 0
+        assert star_tree.lca(0, 7) == 0
 
     def test_matches_networkx_on_random_trees(self):
         for seed in range(5):
             tree = random_tree(30, seed)
-            lca = LCAIndex(tree)
             pairs = [(a, b) for a in range(0, 30, 7) for b in range(3, 30, 5)]
             expected = dict(
                 nx.tree_all_pairs_lowest_common_ancestor(
@@ -138,39 +138,73 @@ class TestLCAIndex:
                 )
             )
             for pair, answer in expected.items():
-                assert lca.lca(*pair) == answer
+                assert tree.lca(*pair) == answer
 
     def test_tree_path_edges(self, path_tree):
-        lca = LCAIndex(path_tree)
-        assert lca.tree_path_edges(2, 5) == [(4, 5), (3, 4), (2, 3)]
-        assert lca.tree_path_edges(4, 4) == []
+        assert path_tree.tree_path_edges(2, 5) == [(4, 5), (3, 4), (2, 3)]
+        assert path_tree.tree_path_edges(4, 4) == []
 
-    def test_tree_path_vertices(self, star_tree):
-        lca = LCAIndex(star_tree)
-        assert lca.tree_path_vertices(3, 7) == [3, 0, 7]
-        assert lca.tree_path_vertices(3, 3) == [3]
+    def test_ids_are_bfs_positions_and_the_index_is_built_once(self, star_tree):
+        order = star_tree.bfs_order()
+        assert [star_tree.index[node] for node in order] == list(range(len(order)))
+        assert star_tree.parent_edges[0] is None
+        assert star_tree.parent_edges[star_tree.index[4]] == (0, 4)
+        assert star_tree.paths is star_tree.paths
 
-    def test_distance(self, path_tree, star_tree):
-        assert LCAIndex(path_tree).distance(2, 9) == 7
-        assert LCAIndex(star_tree).distance(1, 2) == 2
-
-    def test_covers(self, path_tree):
-        lca = LCAIndex(path_tree)
-        assert lca.covers((2, 6), (3, 4))
-        assert not lca.covers((2, 6), (7, 8))
+    def test_euler_first_occurrence_is_a_dfs_preorder(self):
+        # lca_closure sorts by ``paths.first``; it must agree with a DFS
+        # preorder that visits children in BFS-discovery order.
+        for seed in range(5):
+            tree = random_tree(40, seed)
+            preorder, stack = [], [tree.root]
+            while stack:
+                node = stack.pop()
+                preorder.append(node)
+                stack.extend(reversed(tree.children(node)))
+            first, index = tree.paths.first, tree.index
+            assert sorted(tree.nodes(), key=lambda v: first[index[v]]) == preorder
 
     @given(n=st.integers(min_value=2, max_value=40), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_property_path_edges_form_the_unique_tree_path(self, n, seed):
         tree = random_tree(n, seed)
-        lca = LCAIndex(tree)
         rng = random.Random(seed)
         u, v = rng.randrange(n), rng.randrange(n)
-        edges = lca.tree_path_edges(u, v)
+        edges = tree.tree_path_edges(u, v)
         expected = nx.shortest_path_length(tree.graph, u, v)
-        assert len(edges) == expected == lca.distance(u, v)
+        assert len(edges) == expected
         # The edges really form a u-v path in the tree.
         if edges:
             path_graph = nx.Graph(edges)
             assert nx.has_path(path_graph, u, v)
             assert path_graph.number_of_edges() == expected
+
+
+class TestOneIndexPerSolve:
+    """Every solver stage reads the one cached path index of its tree."""
+
+    @staticmethod
+    def _count_index_builds(monkeypatch) -> list[int]:
+        builds = [0]
+        original = TreePathIndex.__init__
+
+        def counting_init(self, parent, depth):
+            builds[0] += 1
+            original(self, parent, depth)
+
+        monkeypatch.setattr(TreePathIndex, "__init__", counting_init)
+        return builds
+
+    @pytest.mark.parametrize("family, n", [("torus", 36), ("hypercube", 32)])
+    def test_three_ecss_indexes_its_bfs_tree_once(self, monkeypatch, family, n):
+        graph = make_family(family)(n, 1)
+        builds = self._count_index_builds(monkeypatch)
+        three_ecss(graph, seed=1)
+        assert builds[0] == 1
+
+    @pytest.mark.parametrize("family, n", [("weighted-sparse", 40), ("torus", 36)])
+    def test_two_ecss_indexes_its_mst_once(self, monkeypatch, family, n):
+        graph = make_family(family)(n, 1)
+        builds = self._count_index_builds(monkeypatch)
+        two_ecss(graph, seed=1)
+        assert builds[0] == 1
